@@ -5,48 +5,58 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 from __future__ import annotations
 
-import json
+import functools
+import os
 import sys
 
 import click
 import numpy as np
 
 from . import model, pipeline
-from .encode import predict as predict_records
+from .encode import encode_view, predict as predict_records
 from .errors import NanocoronaError
 from .schema import default_schema, load_protein_catalog, parse_sample_table
+from .splits import classification_view
 
 
-def _load(config_path: str, sets: tuple[str, ...], out: str | None,
-          seed: int | None, provider: str | None,
-          endpoint: str | None) -> dict:
-    config = pipeline.load_config(config_path)
-    pipeline.apply_overrides(config, list(sets))
-    if out:
-        config["paths"]["out_dir"] = out
-    if seed is not None:
-        config["split"]["seed"] = seed
-        config.setdefault("model", {})["seed"] = seed
-    if provider:
-        config["provider"]["kind"] = provider
-    if endpoint:
-        config["provider"]["endpoint"] = endpoint
-    return config
+_SHARED_OPTIONS = (
+    click.option("--config", required=True, type=click.Path(exists=True)),
+    click.option("--set", "sets", multiple=True, metavar="KEY=VALUE"),
+    click.option("--out", default=None, help="Output directory."),
+    click.option("--seed", type=int, default=None),
+    click.option("--provider",
+                 type=click.Choice(["synthetic", "precomputed", "remote"]),
+                 default=None),
+    click.option("--endpoint", default=None,
+                 help="Remote embedding service URL."),
+)
 
 
-def _common(fn):
-    fn = click.option("--endpoint", default=None,
-                      help="Remote embedding service URL.")(fn)
-    fn = click.option("--provider",
-                      type=click.Choice(["synthetic", "precomputed",
-                                         "remote"]),
-                      default=None)(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--out", default=None, help="Output directory.")(fn)
-    fn = click.option("--set", "sets", multiple=True, metavar="KEY=VALUE")(fn)
-    fn = click.option("--config", required=True,
-                      type=click.Path(exists=True))(fn)
-    return fn
+def _command(fn):
+    """Give `fn` the shared options and call it with the loaded config;
+    a package error is reported on stderr with exit code 1."""
+    @functools.wraps(fn)
+    def command(config, sets, out, seed, provider, endpoint, **kwargs):
+        cfg = pipeline.load_config(config)
+        pipeline.apply_overrides(cfg, list(sets))
+        if out:
+            cfg["paths"]["out_dir"] = out
+        if seed is not None:
+            cfg["split"]["seed"] = seed
+            cfg.setdefault("model", {})["seed"] = seed
+        if provider:
+            cfg["provider"]["kind"] = provider
+        if endpoint:
+            cfg["provider"]["endpoint"] = endpoint
+        try:
+            fn(cfg, **kwargs)
+        except NanocoronaError as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(1)
+
+    for option in reversed(_SHARED_OPTIONS):
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -54,26 +64,13 @@ def main():
     """Curate, train, and analyze nanomaterial-protein interaction models."""
 
 
-def _run_stages(names, config):
-    manifest = pipeline.RunManifest(config, config["paths"]["out_dir"])
-    for name in names:
-        outputs = pipeline.run_stage(name, config, manifest)
-        for path in outputs:
-            click.echo(path)
-
-
 def _stage_command(name):
     @main.command(name=name)
-    @_common
-    def command(config, sets, out, seed, provider, endpoint):
-        cfg = _load(config, sets, out, seed, provider, endpoint)
-        try:
-            _run_stages([name], cfg)
-        except NanocoronaError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(1)
-    command.__name__ = name
-    return command
+    @_command
+    def command(cfg):
+        manifest = pipeline.RunManifest(cfg, cfg["paths"]["out_dir"])
+        for path in pipeline.run_stage(name, cfg, manifest):
+            click.echo(path)
 
 
 for _name in pipeline.RUN_ALL_ORDER:
@@ -81,76 +78,55 @@ for _name in pipeline.RUN_ALL_ORDER:
 
 
 @main.command(name="run-all")
-@_common
-def run_all(config, sets, out, seed, provider, endpoint):
+@_command
+def run_all(cfg):
     """Run every stage in order with chained manifests."""
-    cfg = _load(config, sets, out, seed, provider, endpoint)
-    try:
-        pipeline.run_end_to_end(cfg)
-    except NanocoronaError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+    pipeline.run_end_to_end(cfg)
     click.echo(cfg["paths"]["out_dir"])
 
 
 @main.command()
-@_common
+@_command
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True,
               type=click.Path(exists=True),
               help="Sample table for fine-tuning.")
-def finetune(config, sets, out, seed, provider, endpoint, checkpoint,
-             data_path):
+def finetune(cfg, checkpoint, data_path):
     """Fine-tune only the prediction head on new task data."""
-    cfg = _load(config, sets, out, seed, provider, endpoint)
-    try:
-        from .encode import encode_view
-        from .splits import classification_view
-
-        schema = default_schema()
-        records = parse_sample_table(data_path, schema)
-        catalog = load_protein_catalog(cfg["paths"]["catalog"])
-        providers = pipeline.build_providers(cfg)
-        base = model.load_checkpoint(checkpoint)
-        view = classification_view(records)
-        data = encode_view(view.records, view.labels, schema, catalog,
-                           providers, base.config.modality)
-        tuned, history, _ = model.finetune(base, data, base.config)
-        out_path = pipeline._out(cfg, "model_finetuned.ckpt")
-        model.save_checkpoint(tuned, out_path)
-        click.echo(out_path)
-    except NanocoronaError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+    schema = default_schema()
+    records = parse_sample_table(data_path, schema)
+    catalog = load_protein_catalog(cfg["paths"]["catalog"])
+    providers = pipeline.build_providers(cfg)
+    base = model.load_checkpoint(checkpoint)
+    view = classification_view(records)
+    data = encode_view(view.records, view.labels, schema, catalog,
+                       providers, base.config.modality)
+    tuned, history, _ = model.finetune(base, data, base.config)
+    out_path = pipeline._out(cfg, "model_finetuned.ckpt")
+    model.save_checkpoint(tuned, out_path)
+    click.echo(out_path)
 
 
 @main.command()
-@_common
+@_command
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True,
               type=click.Path(exists=True))
-def predict(config, sets, out, seed, provider, endpoint, checkpoint,
-            data_path):
+def predict(cfg, checkpoint, data_path):
     """Zero-shot predictions for a sample table."""
-    cfg = _load(config, sets, out, seed, provider, endpoint)
-    try:
-        schema = default_schema()
-        records = parse_sample_table(data_path, schema)
-        catalog = load_protein_catalog(cfg["paths"]["catalog"])
-        providers = pipeline.build_providers(cfg)
-        params = model.load_checkpoint(checkpoint)
-        scores = predict_records(params, records, providers, schema, catalog)
-        import os
-        os.makedirs(cfg["paths"]["out_dir"], exist_ok=True)
-        out_path = pipeline._out(cfg, "predictions.tsv")
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("sample_id\tprediction\n")
-            for rec, score in zip(records, np.asarray(scores)):
-                fh.write(f"{rec.sample_id}\t{float(score)!r}\n")
-        click.echo(out_path)
-    except NanocoronaError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+    schema = default_schema()
+    records = parse_sample_table(data_path, schema)
+    catalog = load_protein_catalog(cfg["paths"]["catalog"])
+    providers = pipeline.build_providers(cfg)
+    params = model.load_checkpoint(checkpoint)
+    scores = predict_records(params, records, providers, schema, catalog)
+    os.makedirs(cfg["paths"]["out_dir"], exist_ok=True)
+    out_path = pipeline._out(cfg, "predictions.tsv")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write("sample_id\tprediction\n")
+        for rec, score in zip(records, np.asarray(scores)):
+            fh.write(f"{rec.sample_id}\t{float(score)!r}\n")
+    click.echo(out_path)
 
 
 if __name__ == "__main__":

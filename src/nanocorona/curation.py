@@ -4,7 +4,7 @@ relative-abundance estimation, zero fills, scaling, and labeling."""
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     EmptyInputError,
@@ -18,7 +18,6 @@ from .schema import (
     CATEGORICAL,
     GROUP_INCUBATION,
     GROUP_SEPARATION,
-    NUMERIC,
     UNKNOWN,
     FeatureSchema,
     SampleRecord,

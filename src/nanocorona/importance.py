@@ -7,8 +7,6 @@ import csv
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .encode import ProviderBundle, encode_view
 from .errors import SameFeatureError, ViewMismatchError
 from .metrics import classification_metrics, regression_metrics

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -60,6 +58,8 @@ class ModelConfig:
             raise ValueError("tokens must divide d_shared")
         if self.token_dim % self.heads:
             raise ValueError("heads must divide token_dim")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
     @property
     def token_dim(self) -> int:
@@ -185,6 +185,22 @@ def project(embedding: np.ndarray | Tensor, weight: Tensor,
     return projected.reshape(batch, config.tokens, config.token_dim)
 
 
+def _split_heads(x: Tensor, config: ModelConfig) -> Tensor:
+    b, t, _ = x.shape
+    h, hd = config.heads, config.head_dim
+    return x.reshape(b, t, h, hd).transpose((0, 2, 1, 3))
+
+
+def attention_probs(queries: Tensor, keys: Tensor, blocks: dict,
+                    prefix: str, config: ModelConfig) -> Tensor:
+    """Per-head attention distributions, shape (batch, heads, T, T)."""
+    q = _split_heads(queries @ blocks[f"{prefix}.Wq"], config)
+    k = _split_heads(keys @ blocks[f"{prefix}.Wk"], config)
+    scale = 1.0 / np.sqrt(config.head_dim)
+    scores = (q @ k.transpose((0, 1, 3, 2))) * scale
+    return scores.softmax()
+
+
 def cross_attention(queries: Tensor, keys_values: Tensor, blocks: dict,
                     prefix: str, config: ModelConfig,
                     residual: bool = True, normalize: bool = True) -> Tensor:
@@ -194,16 +210,9 @@ def cross_attention(queries: Tensor, keys_values: Tensor, blocks: dict,
     head concatenation.  Setting keys_values = queries gives self-attention.
     """
     b, t, td = queries.shape
-    h, hd = config.heads, config.head_dim
-
-    def split_heads(x: Tensor) -> Tensor:
-        return x.reshape(b, t, h, hd).transpose((0, 2, 1, 3))
-
-    q = split_heads(queries @ blocks[f"{prefix}.Wq"])
-    k = split_heads(keys_values @ blocks[f"{prefix}.Wk"])
-    v = split_heads(keys_values @ blocks[f"{prefix}.Wv"])
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
-    attended = scores.softmax() @ v
+    probs = attention_probs(queries, keys_values, blocks, prefix, config)
+    v = _split_heads(keys_values @ blocks[f"{prefix}.Wv"], config)
+    attended = probs @ v
     merged = attended.transpose((0, 2, 1, 3)).reshape(b, t, td)
     out = merged @ blocks[f"{prefix}.Wo"]
     if residual:
@@ -212,22 +221,6 @@ def cross_attention(queries: Tensor, keys_values: Tensor, blocks: dict,
         out = layer_norm(out, blocks[f"{prefix}.ln_gain"],
                          blocks[f"{prefix}.ln_bias"])
     return out
-
-
-def attention_weights(queries: np.ndarray, keys: np.ndarray,
-                      blocks: dict, prefix: str,
-                      config: ModelConfig) -> np.ndarray:
-    """Per-head attention distributions, shape (batch, heads, T, T)."""
-    b, t, _ = queries.shape
-    h, hd = config.heads, config.head_dim
-    q = (queries @ blocks[f"{prefix}.Wq"]).reshape(b, t, h, hd) \
-        .transpose(0, 2, 1, 3)
-    k = (keys @ blocks[f"{prefix}.Wk"]).reshape(b, t, h, hd) \
-        .transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _head(fused: Tensor, blocks: dict, config: ModelConfig) -> Tensor:
@@ -286,9 +279,6 @@ def forward(params: ModelParams, protein: np.ndarray | None,
     out = forward_graph(params, protein, text, blocks)
     _check_finite(out.data, "model output")
     return out.data.copy()
-
-
-predict_scores = forward
 
 
 # ---------------------------------------------------------------------------

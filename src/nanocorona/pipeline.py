@@ -14,7 +14,7 @@ import numpy as np
 from . import curation, model, splits
 from .boxcox import BoxCoxTransform, fit_boxcox
 from .cache import CachedProvider, EmbeddingStore
-from .encode import ProviderBundle, encode_view, predict
+from .encode import ProviderBundle, encode_view
 from .errors import NanocoronaError, StageError, UnknownKindError
 from .importance import (
     ablate_feature,
@@ -24,7 +24,7 @@ from .importance import (
     write_importance_report,
 )
 from .metrics import classification_metrics, regression_metrics
-from .prompts import canonical_hash, render_prompt
+from .prompts import render_prompt
 from .providers import (
     PrecomputedProvider,
     SyntheticProteinProvider,
@@ -192,7 +192,7 @@ def make_filled_variants(records, schema, ccfg):
     return variants
 
 
-def stage_curate(config: dict, manifest: RunManifest) -> list[str]:
+def stage_curate(config: dict) -> list[str]:
     paths = config["paths"]
     ccfg = config["curation"]
     schema = default_schema()
@@ -240,7 +240,7 @@ def stage_curate(config: dict, manifest: RunManifest) -> list[str]:
     return [curated_path, validation_path]
 
 
-def stage_split(config: dict, manifest: RunManifest) -> list[str]:
+def stage_split(config: dict) -> list[str]:
     schema = default_schema()
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     scfg = config["split"]
@@ -271,15 +271,14 @@ def _load_transform(config: dict) -> BoxCoxTransform | None:
                            fitted_on=payload["fitted_on"])
 
 
-def stage_embed(config: dict, manifest: RunManifest) -> list[str]:
+def stage_embed(config: dict) -> list[str]:
     """Pre-encode every unique sequence and prompt into the cache."""
     schema = default_schema()
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     catalog = load_protein_catalog(config["paths"]["catalog"])
     providers = build_providers(config)
-    sequences = sorted({catalog.lookup(r.protein_accession).sequence
-                        for r in records
-                        if catalog.lookup(r.protein_accession) is not None})
+    proteins = (catalog.lookup(r.protein_accession) for r in records)
+    sequences = sorted({p.sequence for p in proteins if p is not None})
     prompts = sorted({render_prompt(r, schema).text for r in records})
     for seq in sequences:
         providers.protein.embed(seq)
@@ -307,7 +306,7 @@ def _task_views(config: dict):
     return schema, views, transform
 
 
-def stage_train(config: dict, manifest: RunManifest) -> list[str]:
+def stage_train(config: dict) -> list[str]:
     schema, views, transform = _task_views(config)
     catalog = load_protein_catalog(config["paths"]["catalog"])
     providers = build_providers(config)
@@ -333,7 +332,7 @@ def stage_train(config: dict, manifest: RunManifest) -> list[str]:
     return outputs
 
 
-def stage_eval(config: dict, manifest: RunManifest) -> list[str]:
+def stage_eval(config: dict) -> list[str]:
     schema, views, transform = _task_views(config)
     catalog = load_protein_catalog(config["paths"]["catalog"])
     providers = build_providers(config)
@@ -375,7 +374,7 @@ def stage_eval(config: dict, manifest: RunManifest) -> list[str]:
     return outputs
 
 
-def stage_ablate(config: dict, manifest: RunManifest) -> list[str]:
+def stage_ablate(config: dict) -> list[str]:
     schema, views, _ = _task_views(config)
     catalog = load_protein_catalog(config["paths"]["catalog"])
     providers = build_providers(config)
@@ -448,15 +447,6 @@ def emit_figure_data(reports: dict, kind: str, out_path) -> str:
             fh.write(",".join(header) + "\n")
             for row in reports["rpa_bins"]:
                 fh.write(",".join(str(row[h]) for h in header) + "\n")
-    elif kind == "importance":
-        report = reports["importance"]
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("kind,name,delta,interaction,magnitude\n")
-            for row in report["features"]:
-                fh.write(f"feature,{row['feature']},{row['delta']},,\n")
-            for row in report["interactions"]:
-                fh.write(f"interaction,{'+'.join(row['pair'])},,"
-                         f"{row['interaction']},{row['magnitude']}\n")
     else:
         raise UnknownKindError(f"unknown figure kind {kind!r}")
     return str(out_path)
@@ -484,7 +474,7 @@ def run_stage(name: str, config: dict, manifest: RunManifest) -> list[str]:
     inputs += [_out(config, rel) for rel in stage_inputs]
     started = time.monotonic()
     try:
-        outputs = fn(config, manifest)
+        outputs = fn(config)
     except StageError:
         raise
     except Exception as exc:

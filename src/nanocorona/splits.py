@@ -1,5 +1,5 @@
 """Train/validation/test partitioning with counterpart co-location and
-RPA-stratified train/val balance, plus task views and batching."""
+RPA-stratified train/val balance, plus task views."""
 
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ ZERO_BIN = -1  # dedicated bin for zero / non-affinity origins
 @dataclass
 class SplitAssignment:
     assignment: dict  # origin_id -> "train" | "val" | "test"
-    seed: int
-    bin_edges: list
     bins: dict = field(default_factory=dict)  # origin_id -> bin index
 
     def split_of(self, origin_id: str) -> str:
@@ -109,8 +107,7 @@ def assign_splits(corpus: list[SampleRecord], seed: int,
     assignment.update({o: "train" for o in train})
     assignment.update({o: "val" for o in val})
     bins = {o: _bin_index(rpa_by_origin[o], bin_edges) for o in origins}
-    return SplitAssignment(assignment=assignment, seed=seed,
-                           bin_edges=bin_edges, bins=bins)
+    return SplitAssignment(assignment=assignment, bins=bins)
 
 
 def write_split_manifest(assignment: SplitAssignment, path) -> None:
@@ -129,8 +126,7 @@ def read_split_manifest(path) -> SplitAssignment:
         origin, split, b = line.split("\t")
         assignment[origin] = split
         bins[origin] = int(b)
-    return SplitAssignment(assignment=assignment, seed=-1, bin_edges=[],
-                           bins=bins)
+    return SplitAssignment(assignment=assignment, bins=bins)
 
 
 @dataclass
@@ -172,11 +168,3 @@ def regression_view(split_samples: list[SampleRecord],
                        dtype=np.float64)
     return TaskView(task="regression", records=records, labels=targets)
 
-
-def make_batches(view: TaskView, batch_size: int, epoch_seed: int):
-    """Seeded permutation of the view split into batches; final partial kept."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    rng = np.random.default_rng(epoch_seed)
-    order = rng.permutation(len(view))
-    return [order[i:i + batch_size] for i in range(0, len(order), batch_size)]

@@ -33,8 +33,9 @@ from nanocorona.errors import CorruptError, DimensionError
 from nanocorona.importance import ablate_feature, ablate_pair, evaluate_view
 from nanocorona.metrics import classification_metrics, rank_auc, \
     regression_metrics
+from nanocorona.autodiff import Tensor
 from nanocorona.model import (
-    attention_weights,
+    attention_probs,
     compute_gradients,
     compute_pos_weight,
     finetune,
@@ -146,11 +147,13 @@ def test_02_attention_normalization():
     rng = np.random.default_rng(1)
     q = rng.standard_normal((1000, cfg.tokens, cfg.token_dim))
     k = rng.standard_normal((1000, cfg.tokens, cfg.token_dim))
-    weights = attention_weights(q, k, params.blocks, "attn_p2t", cfg)
+    weights = attention_probs(Tensor(q), Tensor(k), params.blocks,
+                              "attn_p2t", cfg).data
     assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-6
     one_key = rng.standard_normal((1, 1, cfg.token_dim))
     same = np.broadcast_to(one_key, (4, cfg.tokens, cfg.token_dim)).copy()
-    uniform = attention_weights(q[:4], same, params.blocks, "attn_p2t", cfg)
+    uniform = attention_probs(Tensor(q[:4]), Tensor(same), params.blocks,
+                              "attn_p2t", cfg).data
     assert np.max(np.abs(uniform - 1.0 / cfg.tokens)) < 1e-9
 
 

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from nanocorona.autodiff import Tensor
 from nanocorona.errors import (
     CorruptError,
     DimensionError,
@@ -19,7 +20,7 @@ from nanocorona.errors import (
 from nanocorona.model import (
     AdamOptimizer,
     ModelConfig,
-    attention_weights,
+    attention_probs,
     compute_gradients,
     compute_pos_weight,
     finetune,
@@ -180,7 +181,8 @@ class TestAttentionWeights:
         rng = np.random.default_rng(4)
         q = rng.standard_normal((3, cfg.tokens, cfg.token_dim))
         k = rng.standard_normal((3, cfg.tokens, cfg.token_dim))
-        weights = attention_weights(q, k, params.blocks, "attn_p2t", cfg)
+        weights = attention_probs(Tensor(q), Tensor(k), params.blocks,
+                                  "attn_p2t", cfg).data
         assert weights.shape == (3, cfg.heads, cfg.tokens, cfg.tokens)
         assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-6
         assert np.all(weights >= 0)
@@ -192,7 +194,8 @@ class TestAttentionWeights:
         q = rng.standard_normal((2, cfg.tokens, cfg.token_dim))
         one_key = rng.standard_normal((1, 1, cfg.token_dim))
         k = np.broadcast_to(one_key, (2, cfg.tokens, cfg.token_dim)).copy()
-        weights = attention_weights(q, k, params.blocks, "attn_p2t", cfg)
+        weights = attention_probs(Tensor(q), Tensor(k), params.blocks,
+                                  "attn_p2t", cfg).data
         assert np.max(np.abs(weights - 1.0 / cfg.tokens)) < 1e-9
 
 
@@ -370,6 +373,48 @@ class TestTrain:
         data[0][0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             train(data, data, cfg)
+
+
+class TestTrainBatching:
+    """train's mini-batches, read from the rows it hands compute_gradients."""
+
+    @staticmethod
+    def _batches(monkeypatch, seed, n=101, epochs=2):
+        cfg = tiny_config(seed=seed, batch_size=32, max_epochs=epochs,
+                          patience=epochs + 1)
+        row_ids = np.arange(n, dtype=np.float64)[:, None]
+        labels = (np.arange(n) % 2).astype(np.float64)
+        seen = [[]]  # one list of batches per epoch
+
+        def record(params, protein, text, batch_labels, w_pos=1.0):
+            seen[-1].append(protein[:, 0].astype(int).tolist())
+            return 0.0, {name: np.zeros_like(arr)
+                         for name, arr in params.blocks.items()}
+
+        def end_epoch(params, data):
+            seen.append([])
+            return 0.0
+
+        monkeypatch.setattr("nanocorona.model.compute_gradients", record)
+        monkeypatch.setattr("nanocorona.model._val_metric", end_epoch)
+        data = (row_ids, row_ids, labels)
+        train(data, data, cfg)
+        return seen[:-1]
+
+    def test_partition_and_determinism(self, monkeypatch):
+        epochs = self._batches(monkeypatch, seed=4)
+        assert len(epochs) == 2
+        for batches in epochs:
+            assert [len(b) for b in batches] == [32, 32, 32, 5]
+            assert sorted(sum(batches, [])) == list(range(101))
+        assert self._batches(monkeypatch, seed=4) == epochs
+        assert epochs[1] != epochs[0]
+        assert self._batches(monkeypatch, seed=5)[0] != epochs[0]
+
+    def test_bad_batch_size(self):
+        for batch_size in (0, -1):
+            with pytest.raises(ValueError, match="batch_size"):
+                tiny_config(batch_size=batch_size)
 
 
 class TestFinetune:

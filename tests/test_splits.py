@@ -1,5 +1,5 @@
 """Partitioning tests: 8:1:1 ratios, counterpart co-location, per-bin
-stratification, determinism, manifests, task views, and batching."""
+stratification, determinism, manifests, and task views."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from nanocorona.splits import (
     ZERO_BIN,
     assign_splits,
     classification_view,
-    make_batches,
     quantile_bin_edges,
     read_split_manifest,
     regression_view,
@@ -198,20 +197,3 @@ class TestTaskViews:
         assert len(view) == 0
         assert any("empty" in m for m in caplog.messages)
 
-
-class TestMakeBatches:
-    def test_partition_and_determinism(self, schema):
-        view = classification_view(_corpus(schema, 101))
-        batches = make_batches(view, batch_size=32, epoch_seed=4)
-        assert [len(b) for b in batches] == [32, 32, 32, 5]
-        flat = np.concatenate(batches)
-        assert sorted(flat) == list(range(101))
-        again = make_batches(view, batch_size=32, epoch_seed=4)
-        assert all(np.array_equal(a, b) for a, b in zip(batches, again))
-        other = make_batches(view, batch_size=32, epoch_seed=5)
-        assert any(not np.array_equal(a, b) for a, b in zip(batches, other))
-
-    def test_bad_batch_size(self, schema):
-        view = classification_view(_corpus(schema, 10))
-        with pytest.raises(ValueError):
-            make_batches(view, batch_size=0, epoch_seed=0)
