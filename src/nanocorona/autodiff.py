@@ -3,6 +3,11 @@
 Only the operations the fusion model needs are implemented.  Tensors wrap
 ndarrays; backward() accumulates gradients into every tensor built with
 requires_grad=True.  Reduction order is fixed, so results are deterministic.
+
+Python scalars take the dtype of the tensor they meet, so a float32 graph
+stays float32.  An op's backward may return None for a parent that needs no
+gradient; gradient arrays may be shared between nodes and are never
+modified in place.
 """
 
 from __future__ import annotations
@@ -38,9 +43,12 @@ class Tensor:
 
     # -- graph construction helpers ------------------------------------
 
-    @staticmethod
-    def _lift(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _lift(self, other) -> "Tensor":
+        if isinstance(other, Tensor):
+            return other
+        # NEP 50: a Python scalar is weak, so it adopts this tensor's dtype
+        dtype = np.result_type(self.data, other)
+        return Tensor(np.asarray(other, dtype=dtype))
 
     def __add__(self, other):
         other = self._lift(other)
@@ -93,10 +101,14 @@ class Tensor:
         out = Tensor(np.matmul(self.data, other.data), parents=(self, other))
 
         def backward(g):
-            da = np.matmul(g, np.swapaxes(other.data, -1, -2))
-            db = np.matmul(np.swapaxes(self.data, -1, -2), g)
-            return (_unbroadcast(da, self.shape),
-                    _unbroadcast(db, other.shape))
+            da = db = None
+            if self.requires_grad:
+                da = _unbroadcast(
+                    np.matmul(g, np.swapaxes(other.data, -1, -2)), self.shape)
+            if other.requires_grad:
+                db = _unbroadcast(
+                    np.matmul(np.swapaxes(self.data, -1, -2), g), other.shape)
+            return da, db
         out._backward = backward
         return out
 
@@ -203,10 +215,10 @@ class Tensor:
                 continue
             for parent, pgrad in zip(node._parents,
                                      node._backward(node.grad)):
-                if not parent.requires_grad:
+                if pgrad is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = pgrad.copy()
+                    parent.grad = pgrad
                 else:
                     parent.grad = parent.grad + pgrad
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -174,8 +175,12 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 
 def project(embedding: np.ndarray | Tensor, weight: Tensor,
             bias: Tensor, config: ModelConfig) -> Tensor:
-    """Affine map to d_shared, reshaped row-major into tokens."""
-    x = embedding if isinstance(embedding, Tensor) else Tensor(embedding)
+    """Affine map to d_shared, reshaped row-major into tokens.
+
+    A raw embedding array is cast to the weight's dtype first.
+    """
+    x = embedding if isinstance(embedding, Tensor) \
+        else Tensor(np.asarray(embedding, dtype=weight.data.dtype))
     if x.shape[-1] != weight.shape[0]:
         raise DimensionError(
             f"embedding dim {x.shape[-1]} != projection input "
@@ -196,7 +201,7 @@ def attention_probs(queries: Tensor, keys: Tensor, blocks: dict,
     """Per-head attention distributions, shape (batch, heads, T, T)."""
     q = _split_heads(queries @ blocks[f"{prefix}.Wq"], config)
     k = _split_heads(keys @ blocks[f"{prefix}.Wk"], config)
-    scale = 1.0 / np.sqrt(config.head_dim)
+    scale = 1.0 / math.sqrt(config.head_dim)  # a Python float keeps dtype
     scores = (q @ k.transpose((0, 1, 3, 2))) * scale
     return scores.softmax()
 
@@ -234,7 +239,9 @@ def _head(fused: Tensor, blocks: dict, config: ModelConfig) -> Tensor:
 
 
 def _as_tensors(params: ModelParams, trainable: bool) -> dict:
-    return {name: Tensor(arr, requires_grad=trainable)
+    """Lift every block; frozen blocks never require a gradient."""
+    return {name: Tensor(arr, requires_grad=trainable
+                         and not params.is_frozen(name))
             for name, arr in params.blocks.items()}
 
 
@@ -320,7 +327,10 @@ def mse_loss(predictions: Tensor | np.ndarray, targets: np.ndarray):
 def compute_gradients(params: ModelParams, protein: np.ndarray | None,
                       text: np.ndarray | None, labels: np.ndarray,
                       w_pos: float = 1.0):
-    """Loss value and per-block gradients; frozen blocks get zero slots."""
+    """Loss value and per-block gradients; frozen blocks get zero slots.
+
+    Frozen blocks enter the graph as constants, so backward stops at them.
+    """
     blocks = _as_tensors(params, trainable=True)
     out = forward_graph(params, protein, text, blocks)
     if params.config.task == "classification":
@@ -332,15 +342,24 @@ def compute_gradients(params: ModelParams, protein: np.ndarray | None,
     loss.backward()
     grads = {}
     for name, tensor in blocks.items():
-        if params.is_frozen(name) or tensor.grad is None:
+        if tensor.grad is None:
             grads[name] = np.zeros_like(params.blocks[name])
         else:
-            grads[name] = tensor.grad.astype(params.blocks[name].dtype)
+            grads[name] = tensor.grad.astype(params.blocks[name].dtype,
+                                             copy=False)
     return float(loss.data), grads
 
 
 class AdamOptimizer:
-    """Adaptive moment estimation with bias correction."""
+    """Adaptive moment estimation with bias correction (Kingma & Ba 2014).
+
+    Updates the moments and the parameter arrays in place, a cache-sized
+    slab of rows at a time.  Both bias corrections are folded into the step
+    size and epsilon (their section 2), which is algebraically the same
+    update as their Algorithm 1.
+    """
+
+    SLAB = 1 << 16  # elements per slab, so an update's operands stay cached
 
     def __init__(self, params: ModelParams, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -351,23 +370,49 @@ class AdamOptimizer:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.blocks.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.blocks.items()}
+        # a slab is whole leading-axis rows; one scratch slab per dtype
+        self._rows = {}
+        sizes = {}
+        for name, arr in params.blocks.items():
+            row = arr.size // len(arr)
+            self._rows[name] = max(1, self.SLAB // row)
+            sizes[arr.dtype] = max(sizes.get(arr.dtype, 0),
+                                   min(len(arr), self._rows[name]) * row)
+        self._scratch = {dt: np.empty(n, dtype=dt) for dt, n in sizes.items()}
 
     def step(self, params: ModelParams, grads: dict) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for name in params.blocks:
+        root_bc2 = math.sqrt(1.0 - self.beta2 ** self.t)
+        # lr * m_hat / (sqrt(v_hat) + eps)
+        #   == step_size * m / (sqrt(v) + eps_hat)
+        step_size = self.lr * root_bc2 / (1.0 - self.beta1 ** self.t)
+        eps_hat = self.eps * root_bc2
+        for name, theta in params.blocks.items():
             if params.is_frozen(name):
                 continue
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            params.blocks[name] = (
-                params.blocks[name]
-                - (self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
-            ).astype(params.blocks[name].dtype)
+            rows = self._rows[name]
+            scratch = self._scratch[theta.dtype]
+            for lo in range(0, len(theta), rows):
+                part = slice(lo, lo + rows)
+                self._update(theta[part], grads[name][part],
+                             self.m[name][part], self.v[name][part],
+                             scratch, step_size, eps_hat)
+
+    def _update(self, theta, g, m, v, scratch, step_size, eps_hat) -> None:
+        b1, b2 = self.beta1, self.beta2
+        tmp = scratch[:theta.size].reshape(theta.shape)
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
+        v *= b2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += eps_hat
+        np.divide(m, tmp, out=tmp)
+        tmp *= step_size
+        theta -= tmp
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +429,19 @@ class TrainHistory:
 
 
 def _val_metric(params: ModelParams, data) -> float:
+    """Validation score that early stopping maximises.
+
+    Classification uses F1 and regression R^2.  Where R^2 is undefined (a
+    one-row view, or constant targets) regression uses the negative mean
+    squared error instead.
+    """
     protein, text, labels = data
     scores = forward(params, protein, text)
     if params.config.task == "classification":
         return classification_metrics(scores, labels)["f1"]
+    targets = np.asarray(labels, dtype=np.float64)
+    if len(targets) < 2 or np.all(targets == targets[0]):
+        return -float(np.mean((scores - targets) ** 2))
     return regression_metrics(scores, labels)["r2"]
 
 
@@ -514,7 +568,16 @@ def load_checkpoint(path) -> ModelParams:
     if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise VersionError(
             f"unsupported schema version {manifest.get('schema_version')}")
-    config = ModelConfig.from_dict(manifest["config"])
+    stored = manifest["config"]
+    known = {f.name for f in fields(ModelConfig)}
+    unknown, missing = sorted(set(stored) - known), sorted(known - set(stored))
+    if unknown or missing:
+        raise CorruptError(f"checkpoint config: unknown keys {unknown}, "
+                           f"missing keys {missing}")
+    try:
+        config = ModelConfig.from_dict(stored)
+    except ValueError as exc:
+        raise CorruptError(f"checkpoint config: {exc}") from exc
     with open(path + ".bin", "rb") as fh:
         payload = fh.read()
     blocks = {}

@@ -20,11 +20,14 @@ from nanocorona.errors import (
 from nanocorona.model import (
     AdamOptimizer,
     ModelConfig,
+    _as_tensors,
+    _val_metric,
     attention_probs,
     compute_gradients,
     compute_pos_weight,
     finetune,
     forward,
+    forward_graph,
     init_params,
     load_checkpoint,
     mse_loss,
@@ -255,6 +258,66 @@ class TestGradients:
             else:
                 assert g.any()
 
+    def test_frozen_blocks_enter_graph_as_constants(self):
+        params = init_params(tiny_config())
+        params.freeze_flags["projection"] = True
+        params.freeze_flags["fusion"] = True
+        blocks = _as_tensors(params, trainable=True)
+        for name, tensor in blocks.items():
+            assert tensor.requires_grad == name.startswith("head."), name
+
+    def test_matmul_skips_gradient_of_constant_operand(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((5, 3)))
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        out = x @ w
+        g = rng.standard_normal((5, 4))
+        assert out._backward(g)[0] is None
+        out.backward(g)
+        assert x.grad is None
+        np.testing.assert_allclose(w.grad, x.data.T @ g, rtol=1e-12)
+
+
+def _graph_nodes(root):
+    """Every tensor reachable from root through _parents."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+class TestDtype:
+    """No intermediate or gradient leaves the config dtype, whatever the
+    dtype of the input embeddings."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_graph_and_gradients_keep_config_dtype(self, dtype, task):
+        cfg = tiny_config(task=task, dtype=dtype)
+        params = init_params(cfg)
+        rng = np.random.default_rng(9)
+        protein, text = _draw(cfg, rng)  # float64 draws
+        labels = np.array([0.0, 1.0, 1.0, 0.0])
+        blocks = _as_tensors(params, trainable=True)
+        out = forward_graph(params, protein, text, blocks)
+        loss = weighted_bce(out, labels, 1.7) if task == "classification" \
+            else mse_loss(out, labels)
+        loss.backward()
+        nodes = _graph_nodes(loss)
+        assert len(nodes) > 50
+        for node in nodes:
+            assert node.data.dtype == np.dtype(dtype), node.shape
+            if node.grad is not None:
+                assert node.grad.dtype == np.dtype(dtype), node.shape
+        _, grads = compute_gradients(params, protein, text, labels, 1.7)
+        for name, g in grads.items():
+            assert g.dtype == np.dtype(dtype), name
+
 
 class TestLosses:
     def test_pos_weight_exact(self):
@@ -366,6 +429,22 @@ class TestTrain:
         from nanocorona.metrics import classification_metrics
         assert classification_metrics(scores, val[2])["f1"] == \
             pytest.approx(max(history.val_metric))
+
+    @pytest.mark.parametrize("val_labels", [[0.7], [0.5, 0.5, 0.5]],
+                             ids=["one_row", "constant"])
+    def test_degenerate_regression_val_uses_negative_mse(self, val_labels):
+        cfg = tiny_config(task="regression", max_epochs=3, patience=5)
+        protein, text, labels = _toy_data(cfg, 40, seed=11, task="regression")
+        k = len(val_labels)
+        val = (protein[:k], text[:k], np.array(val_labels))
+        params, history = train((protein[k:], text[k:], labels[k:]), val,
+                                cfg)
+        assert len(history.val_metric) == 3
+        assert all(m <= 0 for m in history.val_metric)
+        mse = np.mean((forward(params, protein[:k], text[:k])
+                       - np.array(val_labels)) ** 2)
+        assert _val_metric(params, val) == pytest.approx(-mse, rel=1e-12)
+        assert max(history.val_metric) == pytest.approx(-mse, rel=1e-12)
 
     def test_nan_input_raises(self):
         cfg = tiny_config(max_epochs=3)
@@ -516,8 +595,64 @@ class TestCheckpoint:
         with pytest.raises(CorruptError, match=dropped["name"].split(".")[0]):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,match", [
+        ("unknown", "dropout"), ("missing", "seed"), ("invalid", "heads")])
+    def test_bad_config(self, tmp_path, edit, match):
+        import json
+        params = self._params()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        manifest = json.loads(path.read_text())
+        if edit == "unknown":
+            manifest["config"]["dropout"] = 0.1
+        elif edit == "missing":
+            del manifest["config"]["seed"]
+        else:
+            manifest["config"]["heads"] = 3
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CorruptError, match=match):
+            load_checkpoint(path)
+
+
+def _textbook_adam(theta, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Kingma & Ba 2014, Algorithm 1, one straight-line loop."""
+    theta = theta.copy()
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g ** 2
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return theta
+
 
 class TestAdam:
+    @pytest.mark.parametrize("slab", [None, 5])  # None: the default slab
+    def test_matches_textbook_adam_and_skips_frozen(self, monkeypatch, slab):
+        if slab is not None:
+            monkeypatch.setattr(AdamOptimizer, "SLAB", slab)
+        cfg = tiny_config()
+        params = init_params(cfg)
+        params.freeze_flags["fusion"] = True
+        start = params.copy()
+        rng = np.random.default_rng(10)
+        history = [{k: rng.standard_normal(v.shape) * 10.0 ** rng.integers(
+                        -6, 2) for k, v in params.blocks.items()}
+                   for _ in range(50)]
+        opt = AdamOptimizer(params, lr=0.01)
+        for grads in history:
+            opt.step(params, grads)
+        for name, block in params.blocks.items():
+            if name.startswith("attn_"):
+                assert block.tobytes() == start.blocks[name].tobytes()
+                continue
+            expected = _textbook_adam(start.blocks[name],
+                                      [g[name] for g in history], lr=0.01)
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
     def test_descends_on_quadratic(self):
         cfg = tiny_config()
         params = init_params(cfg)
