@@ -3,7 +3,17 @@
 File format: append-only records of
     key (32 raw bytes) | provider_id length (uint32 LE) | provider_id bytes |
     dim (uint32 LE) | dim * float32 LE
-plus a rebuildable JSON index mapping hex key -> record offset.
+plus a JSON index mapping hex key -> record offset.
+
+The data file is the truth; the index only caches the offsets of a prefix
+of it.  A put appends one record and updates the in-memory index, so it
+costs O(record) and never writes the index file.  Opening a store refreshes
+the index once: it checks the record at the largest indexed offset, scans
+only the bytes past that record, and writes the index atomically (a tmp
+file, then `os.replace`) if the scan found anything.  A partial last
+record, left by a crash mid-append, is truncated and every complete record
+is kept.  A torn or garbage index, or one pointing past the end of the data
+file, is rebuilt from the data file.
 """
 
 from __future__ import annotations
@@ -19,18 +29,49 @@ from .prompts import canonical_hash
 from .providers import EmbeddingProvider, _validate_vector
 
 
+_HEAD = 36  # key (32 bytes) and provider_id length (uint32)
+
+
+def _record_end(fh, offset: int, size: int):
+    """(hex key, end offset) of the record at `offset` in a data file of
+    `size` bytes, or None when the record runs past the end of the file."""
+    fh.seek(offset)
+    head = fh.read(_HEAD)
+    if len(head) < _HEAD:
+        return None
+    (pid_len,) = struct.unpack_from("<I", head, 32)
+    fh.seek(pid_len, os.SEEK_CUR)
+    dim = fh.read(4)
+    if len(dim) < 4:
+        return None
+    end = offset + _HEAD + pid_len + 4 + 4 * struct.unpack("<I", dim)[0]
+    return None if end > size else (head[:32].hex(), end)
+
+
+def write_json_atomic(path: str, obj, **dump_kwargs) -> None:
+    """Write `obj` as JSON through a tmp file in the same directory and
+    `os.replace`, so a reader sees the old file or the new one, never a
+    torn one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, **dump_kwargs)
+    os.replace(tmp, path)
+
+
 class EmbeddingStore:
     """Append-only vector store with single-writer insertion semantics."""
 
     def __init__(self, path):
         self.path = str(path)
         self.index_path = self.path + ".idx.json"
-        self._index: dict[str, int] = {}
-        if os.path.exists(self.index_path):
-            with open(self.index_path, encoding="utf-8") as fh:
-                self._index = json.load(fh)
-        elif os.path.exists(self.path):
+        index = self._read_index()
+        start = None if index is None else self._indexed_end(index)
+        if start is None:
             self.rebuild_index()
+        else:
+            self._index = index
+            if self._scan(start):
+                self._save_index()
 
     def __contains__(self, key_hex: str) -> bool:
         return key_hex in self._index
@@ -52,7 +93,6 @@ class EmbeddingStore:
             offset = fh.tell()
             fh.write(record)
         self._index[key_hex] = offset
-        self._save_index()
 
     def get(self, key_hex: str):
         """Return (provider_id, vector) or None."""
@@ -74,29 +114,60 @@ class EmbeddingStore:
         return provider_id, vec
 
     def rebuild_index(self) -> None:
-        """Scan the data file and regenerate the index."""
-        index: dict[str, int] = {}
-        if os.path.exists(self.path):
-            size = os.path.getsize(self.path)
-            with open(self.path, "rb") as fh:
-                while fh.tell() < size:
-                    offset = fh.tell()
-                    key = fh.read(32)
-                    if len(key) < 32:
-                        raise CacheError("truncated record header")
-                    (pid_len,) = struct.unpack("<I", fh.read(4))
-                    fh.seek(pid_len, os.SEEK_CUR)
-                    (dim,) = struct.unpack("<I", fh.read(4))
-                    fh.seek(dim * 4, os.SEEK_CUR)
-                    if fh.tell() > size:
-                        raise CacheError("truncated record payload")
-                    index[key.hex()] = offset
-        self._index = index
+        """Scan the whole data file and write a fresh index."""
+        self._index = {}
+        self._scan(0)
         self._save_index()
 
+    def _read_index(self) -> dict[str, int] | None:
+        """The index file's entries; None when it is missing or unreadable."""
+        try:
+            with open(self.index_path, encoding="utf-8") as fh:
+                index = json.load(fh)
+        except (FileNotFoundError, ValueError):
+            return None
+        if not isinstance(index, dict) or not all(
+                isinstance(v, int) and v >= 0 for v in index.values()):
+            return None
+        return index
+
+    def _indexed_end(self, index: dict[str, int]) -> int | None:
+        """End offset of the last record in `index`; None when that record
+        is not where the index says it is."""
+        if not index:
+            return 0
+        key_hex, offset = max(index.items(), key=lambda kv: kv[1])
+        try:
+            with open(self.path, "rb") as fh:
+                record = _record_end(fh, offset, os.fstat(fh.fileno()).st_size)
+        except FileNotFoundError:
+            return None
+        if record is None or record[0] != key_hex:
+            return None
+        return record[1]
+
+    def _scan(self, offset: int) -> bool:
+        """Index every complete record from `offset` on and truncate a torn
+        last record; True when the index or the data file changed."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return False
+        start = offset
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            while offset < size:
+                record = _record_end(fh, offset, size)
+                if record is None:
+                    break
+                self._index[record[0]] = offset
+                offset = record[1]
+        if offset < size:
+            os.truncate(self.path, offset)
+        return offset > start or offset < size
+
     def _save_index(self) -> None:
-        with open(self.index_path, "w", encoding="utf-8") as fh:
-            json.dump(self._index, fh, sort_keys=True)
+        write_json_atomic(self.index_path, self._index, sort_keys=True)
 
 
 def cache_get_or_compute(key_hex: str, provider: EmbeddingProvider,

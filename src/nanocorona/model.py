@@ -356,7 +356,8 @@ class AdamOptimizer:
     Updates the moments and the parameter arrays in place, a cache-sized
     slab of rows at a time.  Both bias corrections are folded into the step
     size and epsilon (their section 2), which is algebraically the same
-    update as their Algorithm 1.
+    update as their Algorithm 1.  Moments, slab rows and scratch exist only
+    for the blocks that are trainable when the optimizer is built.
     """
 
     SLAB = 1 << 16  # elements per slab, so an update's operands stay cached
@@ -368,12 +369,14 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.blocks.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.blocks.items()}
+        trainable = {k: v for k, v in params.blocks.items()
+                     if not params.is_frozen(k)}
+        self.m = {k: np.zeros_like(v) for k, v in trainable.items()}
+        self.v = {k: np.zeros_like(v) for k, v in trainable.items()}
         # a slab is whole leading-axis rows; one scratch slab per dtype
         self._rows = {}
         sizes = {}
-        for name, arr in params.blocks.items():
+        for name, arr in trainable.items():
             row = arr.size // len(arr)
             self._rows[name] = max(1, self.SLAB // row)
             sizes[arr.dtype] = max(sizes.get(arr.dtype, 0),
@@ -387,10 +390,10 @@ class AdamOptimizer:
         #   == step_size * m / (sqrt(v) + eps_hat)
         step_size = self.lr * root_bc2 / (1.0 - self.beta1 ** self.t)
         eps_hat = self.eps * root_bc2
-        for name, theta in params.blocks.items():
+        for name, rows in self._rows.items():
             if params.is_frozen(name):
                 continue
-            rows = self._rows[name]
+            theta = params.blocks[name]
             scratch = self._scratch[theta.dtype]
             for lo in range(0, len(theta), rows):
                 part = slice(lo, lo + rows)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import curation, model, splits
 from .boxcox import BoxCoxTransform, fit_boxcox
-from .cache import CachedProvider, EmbeddingStore
+from .cache import CachedProvider, EmbeddingStore, write_json_atomic
 from .encode import ProviderBundle, encode_view
 from .errors import NanocoronaError, StageError, UnknownKindError
 from .importance import (
@@ -130,10 +130,10 @@ class RunManifest:
             "outputs": {p: digest_file(p) for p in outputs},
             "elapsed_seconds": elapsed,
         })
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump({"run_id": self.run_id,
-                       "config_digest": self.config_digest,
-                       "stages": self.stages}, fh, indent=1, sort_keys=True)
+        write_json_atomic(self.path, {"run_id": self.run_id,
+                                      "config_digest": self.config_digest,
+                                      "stages": self.stages},
+                          indent=1, sort_keys=True)
 
 
 def build_providers(config: dict) -> ProviderBundle:

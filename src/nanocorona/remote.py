@@ -52,7 +52,11 @@ def remote_embed(endpoint: str, modality: str, input_text: str, dim: int,
 
 
 class RemoteProvider(EmbeddingProvider):
-    """Provider backed by the remote embedding service."""
+    """Provider backed by the remote embedding service.
+
+    One `requests.Session` serves every call, so calls share its adapters
+    and connection pool instead of building a session each.
+    """
 
     deterministic = False
 
@@ -65,7 +69,7 @@ class RemoteProvider(EmbeddingProvider):
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self.session = session
+        self.session = session or requests.Session()
         self.provider_id = f"remote:{endpoint}:{modality}"
 
     def embed(self, text: str) -> np.ndarray:

@@ -1,13 +1,17 @@
 """Embedding store tests: binary roundtrip, index rebuild, hit/miss
-semantics, and mismatch detection."""
+semantics, mismatch detection, and recovery from a torn data file or a torn
+or stale index."""
 
 from __future__ import annotations
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
+from nanocorona import cache
 from nanocorona.cache import CachedProvider, EmbeddingStore, cache_get_or_compute
 from nanocorona.errors import CacheError
 from nanocorona.prompts import canonical_hash
@@ -81,6 +85,149 @@ class TestEmbeddingStore:
         path.write_bytes(data[:-40])
         with pytest.raises(CacheError):
             store.get(_key("x"))
+
+
+def _fill(path, n, dim=4):
+    """Put vectors full of i under keys t0..t{n-1} into a fresh store."""
+    store = EmbeddingStore(path)
+    for i in range(n):
+        store.put(_key(f"t{i}"), "p", np.full(dim, float(i), dtype=np.float32))
+
+
+def _assert_holds(store, n, dim=4):
+    """`store` returns the vectors `_fill` put under t0..t{n-1}."""
+    for i in range(n):
+        assert np.array_equal(store.get(_key(f"t{i}"))[1],
+                              np.full(dim, float(i), dtype=np.float32))
+
+
+class TestLinearPuts:
+    def test_fresh_store_writes_empty_index_on_open(self, tmp_path):
+        store = EmbeddingStore(tmp_path / "emb.bin")
+        assert json.loads((tmp_path / "emb.bin.idx.json").read_text()) == {}
+        assert len(store) == 0
+
+    def test_puts_leave_index_file_unchanged(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        store = EmbeddingStore(path)
+        index_path = tmp_path / "emb.bin.idx.json"
+        before = index_path.read_bytes()
+        for i in range(1000):
+            store.put(_key(f"t{i}"), "p",
+                      np.full(4, float(i), dtype=np.float32))
+        assert index_path.read_bytes() == before
+        reopened = EmbeddingStore(path)
+        assert len(reopened) == 1000
+        _assert_holds(reopened, 1000)
+        assert len(json.loads(index_path.read_text())) == 1000
+
+    def test_open_scans_only_past_indexed_prefix(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.bin"
+        _fill(path, 50)
+        EmbeddingStore(path)  # indexes all 50
+        EmbeddingStore(path).put(_key("t50"), "p",
+                                 np.full(4, 50.0, dtype=np.float32))
+        seen = []
+        real = cache._record_end
+
+        def spy(fh, offset, size):
+            seen.append(offset)
+            return real(fh, offset, size)
+
+        monkeypatch.setattr(cache, "_record_end", spy)
+        reopened = EmbeddingStore(path)
+        # the last indexed record, then the one record past it
+        assert len(seen) == 2
+        assert len(reopened) == 51
+        _assert_holds(reopened, 51)
+
+    def test_reads_v1_files(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        vectors = {_key("a"): ("prov-a", [1.0, 2.0]),
+                   _key("b"): ("prov-bb", [3.0, 4.0, 5.0])}
+        data, index = b"", {}
+        for key_hex, (pid, values) in vectors.items():
+            index[key_hex] = len(data)
+            data += (bytes.fromhex(key_hex)
+                     + struct.pack("<I", len(pid)) + pid.encode()
+                     + struct.pack("<I", len(values))
+                     + struct.pack(f"<{len(values)}f", *values))
+        path.write_bytes(data)
+        (tmp_path / "emb.bin.idx.json").write_text(json.dumps(index))
+        store = EmbeddingStore(path)
+        assert path.read_bytes() == data
+        for key_hex, (pid, values) in vectors.items():
+            provider_id, vec = store.get(key_hex)
+            assert provider_id == pid
+            assert np.array_equal(vec, np.asarray(values, dtype=np.float32))
+
+
+class TestRecovery:
+    def test_torn_tail_truncated_at_every_offset(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        _fill(path, 3)
+        intact = path.read_bytes()
+        EmbeddingStore(path).put(_key("t3"), "p",
+                                 np.full(4, 3.0, dtype=np.float32))
+        index_path = tmp_path / "emb.bin.idx.json"
+        full, index = path.read_bytes(), index_path.read_bytes()
+        extra = np.arange(4, dtype=np.float32)
+        for cut in range(len(intact), len(full)):
+            path.write_bytes(full[:cut])
+            index_path.write_bytes(index)  # indexes t0..t2
+            store = EmbeddingStore(path)
+            assert len(store) == 3
+            _assert_holds(store, 3)
+            assert path.read_bytes() == intact
+            store.put(_key("new"), "p", extra)
+            for reader in (store, EmbeddingStore(path)):
+                assert len(reader) == 4
+                _assert_holds(reader, 3)
+                assert np.array_equal(reader.get(_key("new"))[1], extra)
+
+    @pytest.mark.parametrize("damage",
+                             ["half", "garbage", "not_a_map", "bad_offset"])
+    def test_torn_index_rebuilt(self, tmp_path, damage):
+        path = tmp_path / "emb.bin"
+        _fill(path, 5)
+        EmbeddingStore(path)  # write the index of all 5
+        index_path = tmp_path / "emb.bin.idx.json"
+        text = index_path.read_bytes()
+        index_path.write_bytes({"half": text[:len(text) // 2],
+                                "garbage": b"\xff\x00{",
+                                "not_a_map": b"[1, 2]",
+                                "bad_offset": b'{"ab": "0"}'}[damage])
+        store = EmbeddingStore(path)
+        assert len(store) == 5
+        _assert_holds(store, 5)
+        assert len(json.loads(index_path.read_text())) == 5
+
+    @pytest.mark.parametrize("keep", [0, 2, 3])
+    def test_data_shorter_than_index_rebuilt(self, tmp_path, keep):
+        path = tmp_path / "emb.bin"
+        _fill(path, 5)
+        EmbeddingStore(path)  # write the index of all 5
+        index_path = tmp_path / "emb.bin.idx.json"
+        full, full_index = path.read_bytes(), index_path.read_bytes()
+        record = len(full) // 5
+        # cut at a record boundary, and 7 bytes into the next record
+        for cut in (keep * record, keep * record + 7):
+            path.write_bytes(full[:cut])
+            index_path.write_bytes(full_index)
+            store = EmbeddingStore(path)
+            assert len(store) == keep
+            _assert_holds(store, keep)
+            assert len(path.read_bytes()) == keep * record
+            assert len(json.loads(index_path.read_text())) == keep
+
+    def test_index_pointing_at_wrong_record_rebuilt(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        _fill(path, 3)
+        index_path = tmp_path / "emb.bin.idx.json"
+        index_path.write_text(json.dumps({_key("t1"): 0}))
+        store = EmbeddingStore(path)
+        assert len(store) == 3
+        _assert_holds(store, 3)
 
 
 class TestCacheGetOrCompute:

@@ -84,6 +84,20 @@ class TestRunManifest:
         assert saved["stages"][0]["outputs"][str(artifact)] == \
             pipeline.digest_bytes(b"hello")
 
+    def test_failed_write_keeps_previous_manifest(self, tmp_path,
+                                                  monkeypatch):
+        manifest = pipeline.RunManifest({"k": 1}, str(tmp_path))
+        manifest.record_stage("first", [], [], 0.1)
+
+        def crash(src, dst):
+            raise OSError("crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="crash"):
+            manifest.record_stage("second", [], [], 0.2)
+        saved = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert [s["stage"] for s in saved["stages"]] == ["first"]
+
     def test_run_id_depends_only_on_config(self, tmp_path):
         a = pipeline.RunManifest({"x": 1}, str(tmp_path))
         b = pipeline.RunManifest({"x": 1}, str(tmp_path))

@@ -653,6 +653,18 @@ class TestAdam:
             np.testing.assert_allclose(block, expected, rtol=0, atol=1e-12,
                                        err_msg=name)
 
+    def test_frozen_blocks_get_no_moments(self):
+        cfg = tiny_config()
+        params = init_params(cfg)
+        params.freeze_flags.update(projection=True, fusion=True)
+        opt = AdamOptimizer(params, lr=0.01)
+        head = {name for name in params.blocks if name.startswith("head.")}
+        assert head and set(opt.m) == set(opt.v) == set(opt._rows) == head
+        slab = max(min(len(params.blocks[k]), opt._rows[k])
+                   * (params.blocks[k].size // len(params.blocks[k]))
+                   for k in head)
+        assert [a.size for a in opt._scratch.values()] == [slab]
+
     def test_descends_on_quadratic(self):
         cfg = tiny_config()
         params = init_params(cfg)

@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+import requests
 
 from nanocorona.errors import DimensionError, HttpError, TimeoutExhaustedError
 from nanocorona.remote import RemoteProvider, remote_embed
@@ -118,3 +119,27 @@ class TestRemoteProvider:
         vec = provider.embed("a prompt")
         assert np.array_equal(vec, np.full(DIM, 2.0, dtype=np.float32))
         assert mock_server.requests[0][1]["modality"] == "text"
+
+    def test_one_session_serves_every_call(self, mock_server, monkeypatch):
+        built = []
+
+        class CountingSession(requests.Session):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+                self.posts = 0
+
+            def post(self, *args, **kwargs):
+                self.posts += 1
+                return super().post(*args, **kwargs)
+
+        monkeypatch.setattr(requests, "Session", CountingSession)
+        mock_server.script = [_ok([float(i)] * DIM) for i in range(4)]
+        provider = RemoteProvider(_endpoint(mock_server), "text", DIM,
+                                  backoff=0.01)
+        for i in range(4):
+            assert np.array_equal(provider.embed(f"prompt {i}"),
+                                  np.full(DIM, float(i), dtype=np.float32))
+        assert len(built) == 1
+        assert built[0].posts == 4
+        assert len(mock_server.requests) == 4
