@@ -85,17 +85,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._lift(other)
-        out = Tensor(self.data / other.data, parents=(self, other))
-
-        def backward(g):
-            return (_unbroadcast(g / other.data, self.shape),
-                    _unbroadcast(-g * self.data / other.data ** 2,
-                                 other.shape))
-        out._backward = backward
-        return out
-
     def __matmul__(self, other):
         other = self._lift(other)
         out = Tensor(np.matmul(self.data, other.data), parents=(self, other))
@@ -152,11 +141,6 @@ class Tensor:
         mask = self.data > 0
         out = Tensor(np.where(mask, self.data, 0.0), parents=(self,))
         out._backward = lambda g: (g * mask,)
-        return out
-
-    def exp(self):
-        out = Tensor(np.exp(self.data), parents=(self,))
-        out._backward = lambda g: (g * out.data,)
         return out
 
     def log(self):

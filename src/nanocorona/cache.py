@@ -52,7 +52,7 @@ def write_json_atomic(path: str, obj, **dump_kwargs) -> None:
     """Write `obj` as JSON through a tmp file in the same directory and
     `os.replace`, so a reader sees the old file or the new one, never a
     torn one."""
-    tmp = path + ".tmp"
+    tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, **dump_kwargs)
     os.replace(tmp, path)
@@ -203,7 +203,6 @@ class CachedProvider(EmbeddingProvider):
         self.provider_id = inner.provider_id
         self.modality = inner.modality
         self.dim = inner.dim
-        self.deterministic = inner.deterministic
 
     def embed(self, text: str) -> np.ndarray:
         return cache_get_or_compute(canonical_hash(text), self.inner,

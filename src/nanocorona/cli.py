@@ -15,7 +15,7 @@ import numpy as np
 from . import model, pipeline
 from .encode import encode_view, predict as predict_records
 from .errors import NanocoronaError
-from .schema import default_schema, load_protein_catalog, parse_sample_table
+from .schema import parse_sample_table
 from .splits import classification_view
 
 
@@ -93,10 +93,8 @@ def run_all(cfg):
               help="Sample table for fine-tuning.")
 def finetune(cfg, checkpoint, data_path):
     """Fine-tune only the prediction head on new task data."""
-    schema = default_schema()
+    schema, catalog, providers = pipeline.load_encoding(cfg)
     records = parse_sample_table(data_path, schema)
-    catalog = load_protein_catalog(cfg["paths"]["catalog"])
-    providers = pipeline.build_providers(cfg)
     base = model.load_checkpoint(checkpoint)
     view = classification_view(records)
     data = encode_view(view.records, view.labels, schema, catalog,
@@ -114,10 +112,8 @@ def finetune(cfg, checkpoint, data_path):
               type=click.Path(exists=True))
 def predict(cfg, checkpoint, data_path):
     """Zero-shot predictions for a sample table."""
-    schema = default_schema()
+    schema, catalog, providers = pipeline.load_encoding(cfg)
     records = parse_sample_table(data_path, schema)
-    catalog = load_protein_catalog(cfg["paths"]["catalog"])
-    providers = pipeline.build_providers(cfg)
     params = model.load_checkpoint(checkpoint)
     scores = predict_records(params, records, providers, schema, catalog)
     os.makedirs(cfg["paths"]["out_dir"], exist_ok=True)

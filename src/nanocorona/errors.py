@@ -68,10 +68,6 @@ class EmptyCorpusError(NanocoronaError):
     code = "E_EMPTY_CORPUS"
 
 
-class EmptyViewError(NanocoronaError):
-    code = "E_EMPTY_VIEW"
-
-
 class ProviderError(NanocoronaError):
     code = "E_PROVIDER"
 
@@ -131,7 +127,3 @@ class StageError(NanocoronaError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-class UnknownKindError(NanocoronaError):
-    code = "E_UNKNOWN_KIND"

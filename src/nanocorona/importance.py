@@ -4,10 +4,10 @@ synergy/redundancy analysis over a frozen model."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
-from .encode import ProviderBundle, encode_view
+from .cache import write_json_atomic
+from .encode import ProviderBundle, predict
 from .errors import SameFeatureError, ViewMismatchError
 from .metrics import classification_metrics, regression_metrics
 from .model import (
@@ -15,7 +15,6 @@ from .model import (
     MODALITY_TEXT_ONLY,
     ModelConfig,
     ModelParams,
-    forward,
     train,
 )
 from .schema import FeatureSchema, ProteinCatalog
@@ -60,13 +59,11 @@ def evaluate_view(params: ModelParams, view: TaskView, schema: FeatureSchema,
                   catalog: ProteinCatalog, providers: ProviderBundle,
                   mask_set: frozenset = frozenset()) -> float:
     """Task metric (F1 for classification, R^2 for regression) on a view."""
-    protein, text, labels = encode_view(view.records, view.labels, schema,
-                                        catalog, providers,
-                                        params.config.modality, mask_set)
-    scores = forward(params, protein, text)
+    scores = predict(params, view.records, providers, schema, catalog,
+                     mask_set)
     if params.config.task == "classification":
-        return classification_metrics(scores, labels)["f1"]
-    return regression_metrics(scores, labels)["r2"]
+        return classification_metrics(scores, view.labels)["f1"]
+    return regression_metrics(scores, view.labels)["r2"]
 
 
 def train_single_modality(train_data, val_data, modality: str,
@@ -181,8 +178,7 @@ def importance_report(records: list[AblationRecord],
 
 
 def write_importance_report(report: dict, json_path, csv_path) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+    write_json_atomic(json_path, report, indent=1, sort_keys=True)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "name", "delta", "interaction", "magnitude",

@@ -207,8 +207,7 @@ def attention_probs(queries: Tensor, keys: Tensor, blocks: dict,
 
 
 def cross_attention(queries: Tensor, keys_values: Tensor, blocks: dict,
-                    prefix: str, config: ModelConfig,
-                    residual: bool = True, normalize: bool = True) -> Tensor:
+                    prefix: str, config: ModelConfig) -> Tensor:
     """Multi-head scaled dot-product attention of queries over keys/values.
 
     Output projection, residual to the queries, and layer norm follow the
@@ -219,13 +218,9 @@ def cross_attention(queries: Tensor, keys_values: Tensor, blocks: dict,
     v = _split_heads(keys_values @ blocks[f"{prefix}.Wv"], config)
     attended = probs @ v
     merged = attended.transpose((0, 2, 1, 3)).reshape(b, t, td)
-    out = merged @ blocks[f"{prefix}.Wo"]
-    if residual:
-        out = out + queries
-    if normalize:
-        out = layer_norm(out, blocks[f"{prefix}.ln_gain"],
-                         blocks[f"{prefix}.ln_bias"])
-    return out
+    out = merged @ blocks[f"{prefix}.Wo"] + queries
+    return layer_norm(out, blocks[f"{prefix}.ln_gain"],
+                      blocks[f"{prefix}.ln_bias"])
 
 
 def _head(fused: Tensor, blocks: dict, config: ModelConfig) -> Tensor:

@@ -14,8 +14,8 @@ import numpy as np
 from . import curation, model, splits
 from .boxcox import BoxCoxTransform, fit_boxcox
 from .cache import CachedProvider, EmbeddingStore, write_json_atomic
-from .encode import ProviderBundle, encode_view
-from .errors import NanocoronaError, StageError, UnknownKindError
+from .encode import ProviderBundle, encode_view, predict
+from .errors import NanocoronaError, StageError
 from .importance import (
     ablate_feature,
     ablate_pair,
@@ -26,6 +26,8 @@ from .importance import (
 from .metrics import classification_metrics, regression_metrics
 from .prompts import render_prompt
 from .providers import (
+    PROTEIN_DIM,
+    TEXT_DIM,
     PrecomputedProvider,
     SyntheticProteinProvider,
     SyntheticTextProvider,
@@ -121,13 +123,25 @@ class RunManifest:
         self.run_id = self.config_digest[:16]
         self.stages: list[dict] = []
         self.path = os.path.join(out_dir, "run_manifest.json")
+        self._digests: dict[tuple, str] = {}
+
+    def _digest(self, path: str) -> str:
+        """digest_file(path), hashed once per version of the file in this
+        run, a version being its (size, mtime_ns): a checkpoint train wrote
+        is not hashed again as an input of eval and ablate."""
+        st = os.stat(path)
+        key = (path, st.st_size, st.st_mtime_ns)
+        if key not in self._digests:
+            self._digests[key] = digest_file(path)
+        return self._digests[key]
 
     def record_stage(self, name: str, inputs: list[str], outputs: list[str],
                      elapsed: float) -> None:
         self.stages.append({
             "stage": name,
-            "inputs": {p: digest_file(p) for p in inputs if os.path.exists(p)},
-            "outputs": {p: digest_file(p) for p in outputs},
+            "inputs": {p: self._digest(p) for p in inputs
+                       if os.path.exists(p)},
+            "outputs": {p: self._digest(p) for p in outputs},
             "elapsed_seconds": elapsed,
         })
         write_json_atomic(self.path, {"run_id": self.run_id,
@@ -145,13 +159,13 @@ def build_providers(config: dict) -> ProviderBundle:
         protein = SyntheticProteinProvider(seed)
         text = SyntheticTextProvider(seed)
     elif kind == "precomputed":
-        protein = PrecomputedProvider(store, "protein", 2560)
-        text = PrecomputedProvider(store, "text", 4096)
+        protein = PrecomputedProvider(store, "protein", PROTEIN_DIM)
+        text = PrecomputedProvider(store, "text", TEXT_DIM)
         return ProviderBundle(protein=protein, text=text)
     elif kind == "remote":
         endpoint = pcfg["endpoint"]
-        protein = RemoteProvider(endpoint, "protein", 2560)
-        text = RemoteProvider(endpoint, "text", 4096)
+        protein = RemoteProvider(endpoint, "protein", PROTEIN_DIM)
+        text = RemoteProvider(endpoint, "text", TEXT_DIM)
     else:
         raise ValueError(f"unknown provider kind {kind!r}")
     return ProviderBundle(protein=CachedProvider(protein, store),
@@ -232,11 +246,11 @@ def stage_curate(config: dict) -> list[str]:
     curated_path = _out(config, "curated.tsv")
     write_sample_table(curated, curated_path, schema)
     validation_path = _out(config, "validation.json")
-    with open(validation_path, "w", encoding="utf-8") as fh:
-        json.dump({"total": report.total, "valid": report.valid,
-                   "issues": [[i.sample_id, i.code, i.message]
-                              for i in report.issues]},
-                  fh, indent=1)
+    write_json_atomic(validation_path,
+                      {"total": report.total, "valid": report.valid,
+                       "issues": [[i.sample_id, i.code, i.message]
+                                  for i in report.issues]},
+                      indent=1)
     return [curated_path, validation_path]
 
 
@@ -251,32 +265,59 @@ def stage_split(config: dict) -> list[str]:
     train_records = splits.split_records(records, assignment, "train")
     affinity = [r.rpa for r in train_records
                 if r.rpa is not None and r.rpa > curation.AFFINITY_THRESHOLD]
+    lam = fit_boxcox(affinity, fitted_on="train").lam if affinity else None
     transform_path = _out(config, "boxcox.json")
-    if affinity:
-        transform = fit_boxcox(affinity, fitted_on="train")
-        payload = {"lambda": transform.lam, "fitted_on": "train"}
-    else:
-        payload = {"lambda": None, "fitted_on": "train"}
-    with open(transform_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+    write_json_atomic(transform_path, {"lambda": lam, "fitted_on": "train"},
+                      indent=1)
     return [manifest_path, transform_path]
 
 
-def _load_transform(config: dict) -> BoxCoxTransform | None:
+def load_encoding(config: dict):
+    """(schema, catalog, providers): what encoding records needs."""
+    schema = default_schema()
+    catalog = load_protein_catalog(config["paths"]["catalog"])
+    return schema, catalog, build_providers(config)
+
+
+SPLITS = ("train", "val", "test")
+
+
+def load_views(config: dict):
+    """load_encoding's (schema, catalog, providers), then the curated
+    corpus's (task, split) -> TaskView map and the Box-Cox transform.  The
+    regression views exist only when split fitted a transform."""
+    schema, catalog, providers = load_encoding(config)
+    records = parse_sample_table(_out(config, "curated.tsv"), schema)
+    assignment = splits.read_split_manifest(_out(config, "split_manifest.tsv"))
     with open(_out(config, "boxcox.json"), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload["lambda"] is None:
-        return None
-    return BoxCoxTransform(lam=payload["lambda"],
-                           fitted_on=payload["fitted_on"])
+        boxcox = json.load(fh)
+    transform = None if boxcox["lambda"] is None else BoxCoxTransform(
+        lam=boxcox["lambda"], fitted_on=boxcox["fitted_on"])
+    views = {}
+    for split in SPLITS:
+        members = splits.split_records(records, assignment, split)
+        views[("classification", split)] = splits.classification_view(members)
+        if transform is not None:
+            views[("regression", split)] = splits.regression_view(members,
+                                                                  transform)
+    return schema, catalog, providers, views, transform
+
+
+def _tasks(views: dict) -> list[str]:
+    return list(dict.fromkeys(task for task, _ in views))
+
+
+def _scorable(view) -> bool:
+    """Whether eval scores a view: it needs a row, and a regression view two
+    distinct targets (R^2 is undefined otherwise)."""
+    needed = 2 if view.task == "regression" else 1
+    return len(np.unique(view.labels)) >= needed
 
 
 def stage_embed(config: dict) -> list[str]:
     """Pre-encode every unique sequence and prompt into the cache."""
-    schema = default_schema()
+    schema, catalog, providers = load_encoding(config)
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
-    catalog = load_protein_catalog(config["paths"]["catalog"])
-    providers = build_providers(config)
     proteins = (catalog.lookup(r.protein_accession) for r in records)
     sequences = sorted({p.sequence for p in proteins if p is not None})
     prompts = sorted({render_prompt(r, schema).text for r in records})
@@ -285,99 +326,80 @@ def stage_embed(config: dict) -> list[str]:
     for text in prompts:
         providers.text.embed(text)
     stats_path = _out(config, "embed_stats.json")
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        json.dump({"unique_sequences": len(sequences),
-                   "unique_prompts": len(prompts)}, fh, indent=1)
+    write_json_atomic(stats_path, {"unique_sequences": len(sequences),
+                                   "unique_prompts": len(prompts)}, indent=1)
     return [stats_path]
 
 
-def _task_views(config: dict):
-    schema = default_schema()
-    records = parse_sample_table(_out(config, "curated.tsv"), schema)
-    assignment = splits.read_split_manifest(_out(config, "split_manifest.tsv"))
-    transform = _load_transform(config)
-    views = {}
-    for split in ("train", "val", "test"):
-        members = splits.split_records(records, assignment, split)
-        views[("classification", split)] = splits.classification_view(members)
-        if transform is not None:
-            views[("regression", split)] = splits.regression_view(members,
-                                                                  transform)
-    return schema, views, transform
-
-
 def stage_train(config: dict) -> list[str]:
-    schema, views, transform = _task_views(config)
-    catalog = load_protein_catalog(config["paths"]["catalog"])
-    providers = build_providers(config)
+    """Train one model per task; regression is skipped when its train or
+    val view is empty."""
+    schema, catalog, providers, views, _ = load_views(config)
     outputs = []
-    tasks = ["classification"] + (["regression"] if transform else [])
-    for task in tasks:
+    for task in _tasks(views):
+        train_view, val_view = views[(task, "train")], views[(task, "val")]
+        if task == "regression" and not (len(train_view) and len(val_view)):
+            continue
         cfg = model.ModelConfig(**{**config["model"], "task": task})
-        data = {}
-        for split in ("train", "val"):
-            view = views[(task, split)]
-            data[split] = encode_view(view.records, view.labels, schema,
-                                      catalog, providers, cfg.modality)
-        params, history = model.train(data["train"], data["val"], cfg)
+        train_data, val_data = (
+            encode_view(view.records, view.labels, schema, catalog,
+                        providers, cfg.modality)
+            for view in (train_view, val_view))
+        params, history = model.train(train_data, val_data, cfg)
         ckpt = _out(config, f"model_{task}.ckpt")
         model.save_checkpoint(params, ckpt)
         hist_path = _out(config, f"history_{task}.json")
-        with open(hist_path, "w", encoding="utf-8") as fh:
-            json.dump({"train_loss": history.train_loss,
-                       "val_metric": history.val_metric,
-                       "best_epoch": history.best_epoch,
-                       "stopped_early": history.stopped_early}, fh, indent=1)
+        write_json_atomic(hist_path,
+                          {"train_loss": history.train_loss,
+                           "val_metric": history.val_metric,
+                           "best_epoch": history.best_epoch,
+                           "stopped_early": history.stopped_early},
+                          indent=1)
         outputs.extend([ckpt, ckpt + ".bin", hist_path])
     return outputs
 
 
 def stage_eval(config: dict) -> list[str]:
-    schema, views, transform = _task_views(config)
-    catalog = load_protein_catalog(config["paths"]["catalog"])
-    providers = build_providers(config)
+    """Score every trained task on every view `_scorable` accepts."""
+    schema, catalog, providers, views, transform = load_views(config)
     results = {}
     rpa_bin_rows = None
-    tasks = ["classification"] + (["regression"] if transform else [])
-    for task in tasks:
+    for task in _tasks(views):
         ckpt = _out(config, f"model_{task}.ckpt")
         if not os.path.exists(ckpt):
             continue
         params = model.load_checkpoint(ckpt)
-        for split in ("train", "val", "test"):
+        for split in SPLITS:
             view = views[(task, split)]
-            if len(view) == 0:
+            if not _scorable(view):
                 continue
-            protein, text, labels = encode_view(
-                view.records, view.labels, schema, catalog, providers,
-                params.config.modality)
-            scores = model.forward(params, protein, text)
+            scores = predict(params, view.records, providers, schema, catalog)
             if task == "classification":
-                results[f"{task}/{split}"] = classification_metrics(scores,
-                                                                    labels)
+                results[f"{task}/{split}"] = classification_metrics(
+                    scores, view.labels)
                 if split == "test":
-                    rpas = np.array([r.rpa for r in view.records])
-                    rpa_bin_rows = rpa_bin_table(scores, labels, rpas)
+                    rpa_bin_rows = rpa_bin_table(
+                        scores, view.labels, [r.rpa for r in view.records])
             else:
                 results[f"{task}/{split}"] = regression_metrics(
-                    scores, labels, transform)
+                    scores, view.labels, transform)
     metrics_path = _out(config, "metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=1, sort_keys=True)
-    outputs = [metrics_path]
-    outputs.append(emit_figure_data({"metrics": results}, "metrics",
-                                    _out(config, "fig_metrics.csv")))
+    write_json_atomic(metrics_path, results, indent=1, sort_keys=True)
+    metric_rows = [(*key.split("/"), name, value)
+                   for key, metrics in sorted(results.items())
+                   for name, value in sorted(metrics.items())]
+    outputs = [metrics_path,
+               write_csv(_out(config, "fig_metrics.csv"),
+                         ("task", "split", "metric", "value"), metric_rows)]
     if rpa_bin_rows is not None:
-        outputs.append(emit_figure_data({"rpa_bins": rpa_bin_rows},
-                                        "rpa_bins",
-                                        _out(config, "fig_rpa_bins.csv")))
+        outputs.append(write_csv(
+            _out(config, "fig_rpa_bins.csv"), RPA_BIN_COLUMNS,
+            [[row[c] for c in RPA_BIN_COLUMNS] for row in rpa_bin_rows]))
     return outputs
 
 
 def stage_ablate(config: dict) -> list[str]:
-    schema, views, _ = _task_views(config)
-    catalog = load_protein_catalog(config["paths"]["catalog"])
-    providers = build_providers(config)
+    schema, catalog, providers, views, _ = load_views(config)
     params = model.load_checkpoint(_out(config, "model_classification.ckpt"))
     view = views[("classification", "test")]
     acfg = config["ablation"]
@@ -397,6 +419,10 @@ def stage_ablate(config: dict) -> list[str]:
     csv_path = _out(config, "fig_importance.csv")
     write_importance_report(report, json_path, csv_path)
     return [json_path, csv_path]
+
+
+RPA_BIN_COLUMNS = ("rpa_low", "rpa_high", "count", "accuracy",
+                   "mean_probability", "probability_std")
 
 
 def rpa_bin_table(scores, labels, rpas, n_bins: int = 5) -> list[dict]:
@@ -427,41 +453,28 @@ def rpa_bin_table(scores, labels, rpas, n_bins: int = 5) -> list[dict]:
     return rows
 
 
-def emit_figure_data(reports: dict, kind: str, out_path) -> str:
-    """Write figure-ready CSV for a report kind."""
-    if kind == "metrics":
-        rows = []
-        for key, metrics in sorted(reports["metrics"].items()):
-            task, split = key.split("/")
-            for name, value in sorted(metrics.items()):
-                rows.append((task, split, name,
-                             "" if value is None else value))
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("task,split,metric,value\n")
-            for row in rows:
-                fh.write(",".join(str(c) for c in row) + "\n")
-    elif kind == "rpa_bins":
-        header = ["rpa_low", "rpa_high", "count", "accuracy",
-                  "mean_probability", "probability_std"]
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in reports["rpa_bins"]:
-                fh.write(",".join(str(row[h]) for h in header) + "\n")
-    else:
-        raise UnknownKindError(f"unknown figure kind {kind!r}")
-    return str(out_path)
+def write_csv(path: str, header, rows) -> str:
+    """Write a figure CSV: the header, then one line per row; each value is
+    written as str() of it, None as an empty field."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in (header, *rows):
+            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+    return path
 
+
+# the files a stage reads besides the corpus and the catalog; a checkpoint
+# is its JSON header and its .bin weights
+_VIEW_INPUTS = ["curated.tsv", "split_manifest.tsv", "boxcox.json"]
+_CLASSIFIER = ["model_classification.ckpt", "model_classification.ckpt.bin"]
+_REGRESSOR = ["model_regression.ckpt", "model_regression.ckpt.bin"]
 
 STAGES = {
     "curate": (stage_curate, []),
     "split": (stage_split, ["curated.tsv"]),
     "embed": (stage_embed, ["curated.tsv"]),
-    "train": (stage_train, ["curated.tsv", "split_manifest.tsv",
-                            "boxcox.json"]),
-    "eval": (stage_eval, ["curated.tsv", "split_manifest.tsv", "boxcox.json",
-                          "model_classification.ckpt"]),
-    "ablate": (stage_ablate, ["curated.tsv", "split_manifest.tsv",
-                              "model_classification.ckpt"]),
+    "train": (stage_train, _VIEW_INPUTS),
+    "eval": (stage_eval, _VIEW_INPUTS + _CLASSIFIER + _REGRESSOR),
+    "ablate": (stage_ablate, _VIEW_INPUTS + _CLASSIFIER),
 }
 
 RUN_ALL_ORDER = ("curate", "split", "embed", "train", "eval", "ablate")

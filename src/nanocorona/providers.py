@@ -23,7 +23,6 @@ class EmbeddingProvider:
     provider_id: str
     modality: str
     dim: int
-    deterministic: bool = True
 
     def embed(self, text: str) -> np.ndarray:
         raise NotImplementedError

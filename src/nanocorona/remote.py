@@ -58,8 +58,6 @@ class RemoteProvider(EmbeddingProvider):
     and connection pool instead of building a session each.
     """
 
-    deterministic = False
-
     def __init__(self, endpoint: str, modality: str, dim: int,
                  retries: int = 3, backoff: float = 0.5,
                  timeout: float = 30.0, session=None):

@@ -490,6 +490,7 @@ def test_15_remote_client():
         assert len(server.requests) == 5
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()
 
 

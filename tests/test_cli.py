@@ -5,15 +5,22 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nanocorona import pipeline
+from nanocorona import curation, pipeline, splits
 from nanocorona.cli import main
-from nanocorona.errors import StageError, UnknownKindError
-from nanocorona.schema import UNKNOWN, write_protein_catalog, write_sample_table
+from nanocorona.errors import StageError
+from nanocorona.schema import (
+    UNKNOWN,
+    parse_sample_table,
+    write_protein_catalog,
+    write_sample_table,
+)
 
 from conftest import make_labeled_corpus
 
@@ -98,6 +105,24 @@ class TestRunManifest:
         saved = json.loads((tmp_path / "run_manifest.json").read_text())
         assert [s["stage"] for s in saved["stages"]] == ["first"]
 
+    def test_file_hashed_once_per_version(self, tmp_path, monkeypatch):
+        artifact = tmp_path / "a.txt"
+        artifact.write_text("one")
+        hashed = []
+        digest_file = pipeline.digest_file
+        monkeypatch.setattr(pipeline, "digest_file",
+                            lambda p: hashed.append(p) or digest_file(p))
+        manifest = pipeline.RunManifest({"k": 1}, str(tmp_path))
+        manifest.record_stage("write", [], [str(artifact)], 0.1)
+        manifest.record_stage("read", [str(artifact)], [], 0.1)
+        assert hashed == [str(artifact)]
+        artifact.write_text("three")
+        manifest.record_stage("reread", [str(artifact)], [], 0.1)
+        assert len(hashed) == 2
+        saved = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert saved["stages"][2]["inputs"][str(artifact)] == \
+            pipeline.digest_bytes(b"three")
+
     def test_run_id_depends_only_on_config(self, tmp_path):
         a = pipeline.RunManifest({"x": 1}, str(tmp_path))
         b = pipeline.RunManifest({"x": 1}, str(tmp_path))
@@ -106,10 +131,6 @@ class TestRunManifest:
 
 
 class TestFigureData:
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(UnknownKindError):
-            pipeline.emit_figure_data({}, "histogram", tmp_path / "f.csv")
-
     def test_rpa_bin_table_columns(self):
         rng = np.random.default_rng(0)
         rpas = np.concatenate([np.zeros(20), rng.uniform(1e-4, 1e-2, 80)])
@@ -162,6 +183,112 @@ class TestEndToEnd:
         # split before curate: curated.tsv does not exist yet
         with pytest.raises(StageError, match="split"):
             pipeline.run_stage("split", config, manifest)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory, schema):
+    """Config of a workspace run through curate, split and train."""
+    _, config = make_workspace(tmp_path_factory.mktemp("trained"), schema)
+    manifest = pipeline.RunManifest(config, config["paths"]["out_dir"])
+    for name in ("curate", "split", "train"):
+        pipeline.run_stage(name, config, manifest)
+    return config
+
+
+def copy_run(config, tmp_path):
+    """The config with its out dir copied to tmp_path/out."""
+    out = tmp_path / "out"
+    shutil.copytree(config["paths"]["out_dir"], out)
+    copied = json.loads(json.dumps(config))
+    copied["paths"]["out_dir"] = str(out)
+    return copied
+
+
+AFFINITY = curation.AFFINITY_THRESHOLD
+
+
+def set_split_rpas(config, schema, split, rpas):
+    """Rewrite curated.tsv: the affinity records of one split get the RPA
+    values of `rpas` in order (0.0, a non-affinity value, past its end)."""
+    out = config["paths"]["out_dir"]
+    path = os.path.join(out, "curated.tsv")
+    records = parse_sample_table(path, schema)
+    assignment = splits.read_split_manifest(
+        os.path.join(out, "split_manifest.tsv"))
+    members = {id(r) for r in splits.split_records(records, assignment,
+                                                   split)}
+    values = iter(rpas)
+    rewritten = [replace(r, rpa=next(values, 0.0))
+                 if id(r) in members and (r.rpa or 0.0) > AFFINITY else r
+                 for r in records]
+    write_sample_table(rewritten, path, schema)
+
+
+class TestStageInputs:
+    def test_eval_and_ablate_record_what_they_read(self, trained, tmp_path):
+        config = copy_run(trained, tmp_path)
+        out = config["paths"]["out_dir"]
+        manifest = pipeline.RunManifest(config, out)
+        for name in ("eval", "ablate"):
+            pipeline.run_stage(name, config, manifest)
+        saved = json.loads(open(os.path.join(out,
+                                             "run_manifest.json")).read())
+        inputs = {s["stage"]: s["inputs"] for s in saved["stages"]}
+        views = {"corpus.tsv", "catalog.tsv", "curated.tsv",
+                 "split_manifest.tsv", "boxcox.json"}
+        classifier = {"model_classification.ckpt",
+                      "model_classification.ckpt.bin"}
+        regressor = {"model_regression.ckpt", "model_regression.ckpt.bin"}
+        assert {os.path.basename(p) for p in inputs["eval"]} == \
+            views | classifier | regressor
+        assert {os.path.basename(p) for p in inputs["ablate"]} == \
+            views | classifier
+        weights = os.path.join(out, "model_classification.ckpt.bin")
+        assert inputs["ablate"][weights] == pipeline.digest_file(weights)
+
+
+class TestDegenerateViews:
+    """A regression view eval cannot score, or train cannot fit or select
+    on, is skipped instead of failing the stage."""
+
+    def _eval(self, config):
+        manifest = pipeline.RunManifest(config, config["paths"]["out_dir"])
+        pipeline.run_stage("eval", config, manifest)
+        return json.loads(open(os.path.join(config["paths"]["out_dir"],
+                                            "metrics.json")).read())
+
+    def test_eval_skips_one_row_regression_view(self, trained, tmp_path,
+                                                schema):
+        config = copy_run(trained, tmp_path)
+        set_split_rpas(config, schema, "test", [5e-3])
+        results = self._eval(config)
+        assert "regression/test" not in results
+        assert {"classification/test", "regression/train"} <= set(results)
+
+    def test_eval_skips_constant_target_regression_view(self, trained,
+                                                        tmp_path, schema):
+        config = copy_run(trained, tmp_path)
+        set_split_rpas(config, schema, "test", [5e-3] * 1000)
+        results = self._eval(config)
+        assert "regression/test" not in results
+        assert {"classification/test", "regression/train"} <= set(results)
+
+    def test_train_skips_regression_without_val_rows(self, trained,
+                                                     tmp_path, schema):
+        config = copy_run(trained, tmp_path)
+        out = config["paths"]["out_dir"]
+        for name in os.listdir(out):
+            if name.startswith(("model_", "history_")):
+                os.remove(os.path.join(out, name))
+        set_split_rpas(config, schema, "val", [])
+        manifest = pipeline.RunManifest(config, out)
+        outputs = pipeline.run_stage("train", config, manifest)
+        assert [os.path.basename(p) for p in outputs] == [
+            "model_classification.ckpt", "model_classification.ckpt.bin",
+            "history_classification.json"]
+        assert not os.path.exists(os.path.join(out, "model_regression.ckpt"))
+        results = self._eval(config)
+        assert not any(key.startswith("regression/") for key in results)
 
 
 class TestCli:

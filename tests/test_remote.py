@@ -48,6 +48,7 @@ def mock_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -106,16 +107,12 @@ class TestRemoteEmbed:
 
 
 class TestRemoteProvider:
-    def test_marked_nondeterministic(self, mock_server):
-        provider = RemoteProvider(_endpoint(mock_server), "protein", DIM)
-        assert provider.deterministic is False
-        assert provider.dim == DIM
-        assert provider.modality == "protein"
-
     def test_embed_delegates(self, mock_server):
         mock_server.script = [_ok([2.0] * DIM)]
         provider = RemoteProvider(_endpoint(mock_server), "text", DIM,
                                   backoff=0.01)
+        assert provider.dim == DIM
+        assert provider.modality == "text"
         vec = provider.embed("a prompt")
         assert np.array_equal(vec, np.full(DIM, 2.0, dtype=np.float32))
         assert mock_server.requests[0][1]["modality"] == "text"
