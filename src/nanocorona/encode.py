@@ -16,7 +16,7 @@ from .model import (
 )
 from .prompts import render_prompt
 from .providers import EmbeddingProvider, embed_protein, embed_text
-from .schema import FeatureSchema, ProteinCatalog, SampleRecord
+from .schema import UNKNOWN, FeatureSchema, ProteinCatalog, SampleRecord
 
 
 @dataclass
@@ -25,26 +25,70 @@ class ProviderBundle:
     text: EmbeddingProvider
 
 
+def _embed_rows(inputs: list[str], index: list[int], embed,
+                provider: EmbeddingProvider) -> np.ndarray:
+    """(len(index), provider.dim) float32 matrix whose row i is
+    embed(inputs[index[i]], provider); each input is embedded once."""
+    vectors = [embed(text, provider) for text in inputs]
+    # copy rows straight into the result: gathering them from a stacked
+    # distinct-input matrix frees a large block on every call, and glibc
+    # then serves later large arrays from a heap it keeps resident
+    matrix = np.empty((len(index), provider.dim), dtype=np.float32)
+    for row, i in enumerate(index):
+        matrix[row] = vectors[i]
+    return matrix
+
+
+def _sequence(catalog: ProteinCatalog, accession: str) -> str:
+    protein = catalog.lookup(accession)
+    if protein is None:
+        raise ProviderError(f"accession {accession!r} not in catalog")
+    return protein.sequence
+
+
 def protein_matrix(records: list[SampleRecord], catalog: ProteinCatalog,
                    provider: EmbeddingProvider) -> np.ndarray:
-    rows = []
+    """One row per record, in record order; each distinct accession is
+    embedded once."""
+    accessions = [rec.protein_accession for rec in records]
+    rows = {acc: i for i, acc in enumerate(dict.fromkeys(accessions))}
+    sequences = [_sequence(catalog, acc) for acc in rows]
+    return _embed_rows(sequences, [rows[acc] for acc in accessions],
+                       embed_protein, provider)
+
+
+def distinct_prompts(records: list[SampleRecord], schema: FeatureSchema,
+                     mask_set: frozenset = frozenset()
+                     ) -> tuple[list[str], list[int]]:
+    """(prompts, index): the distinct prompt texts of `records` in
+    first-seen order, and the position of each record's prompt among them.
+
+    render_prompt is a pure function of a record's unmasked feature values
+    and the mask set, so a record is rendered only when the tuple of its
+    unmasked values is new.
+    """
+    feature_ids = [f for f in schema.feature_ids if f not in mask_set]
+    by_values: dict[tuple, int] = {}
+    by_text: dict[str, int] = {}
+    index = []
     for rec in records:
-        protein = catalog.lookup(rec.protein_accession)
-        if protein is None:
-            raise ProviderError(
-                f"accession {rec.protein_accession!r} not in catalog")
-        rows.append(embed_protein(protein.sequence, provider))
-    return np.stack(rows)
+        features = rec.features
+        key = tuple([features.get(f, UNKNOWN) for f in feature_ids])
+        row = by_values.get(key)
+        if row is None:
+            text = render_prompt(rec, schema, mask_set).text
+            row = by_values[key] = by_text.setdefault(text, len(by_text))
+        index.append(row)
+    return list(by_text), index
 
 
 def text_matrix(records: list[SampleRecord], schema: FeatureSchema,
                 provider: EmbeddingProvider,
                 mask_set: frozenset = frozenset()) -> np.ndarray:
-    rows = []
-    for rec in records:
-        prompt = render_prompt(rec, schema, mask_set)
-        rows.append(embed_text(prompt, provider))
-    return np.stack(rows)
+    """One row per record, in record order; each distinct prompt is
+    embedded once."""
+    prompts, index = distinct_prompts(records, schema, mask_set)
+    return _embed_rows(prompts, index, embed_text, provider)
 
 
 def encode_view(records: list[SampleRecord], labels: np.ndarray,

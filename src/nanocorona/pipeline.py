@@ -3,6 +3,7 @@ finetune, predict — driven by one JSON config with chained run manifests."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import numpy as np
 from . import curation, model, splits
 from .boxcox import BoxCoxTransform, fit_boxcox
 from .cache import CachedProvider, EmbeddingStore, write_json_atomic
-from .encode import ProviderBundle, encode_view, predict
+from .encode import ProviderBundle, distinct_prompts, encode_view, predict
 from .errors import NanocoronaError, StageError
 from .importance import (
     ablate_feature,
@@ -24,7 +25,6 @@ from .importance import (
     write_importance_report,
 )
 from .metrics import classification_metrics, regression_metrics
-from .prompts import render_prompt
 from .providers import (
     PROTEIN_DIM,
     TEXT_DIM,
@@ -320,7 +320,7 @@ def stage_embed(config: dict) -> list[str]:
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     proteins = (catalog.lookup(r.protein_accession) for r in records)
     sequences = sorted({p.sequence for p in proteins if p is not None})
-    prompts = sorted({render_prompt(r, schema).text for r in records})
+    prompts = sorted(distinct_prompts(records, schema)[0])
     for seq in sequences:
         providers.protein.embed(seq)
     for text in prompts:
@@ -332,13 +332,19 @@ def stage_embed(config: dict) -> list[str]:
 
 
 def stage_train(config: dict) -> list[str]:
-    """Train one model per task; regression is skipped when its train or
-    val view is empty."""
+    """Train one model per task; regression is skipped, and the files an
+    earlier train wrote for it are deleted, when its train or val view is
+    empty."""
     schema, catalog, providers, views, _ = load_views(config)
     outputs = []
     for task in _tasks(views):
         train_view, val_view = views[(task, "train")], views[(task, "val")]
         if task == "regression" and not (len(train_view) and len(val_view)):
+            # eval scores every checkpoint it finds: drop an earlier train's
+            for name in (f"model_{task}.ckpt", f"model_{task}.ckpt.bin",
+                         f"history_{task}.json"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(_out(config, name))
             continue
         cfg = model.ModelConfig(**{**config["model"], "task": task})
         train_data, val_data = (

@@ -48,7 +48,9 @@ class _HashedProjectionProvider(EmbeddingProvider):
 
     Each bucket owns a fixed pseudo-random direction seeded by (seed, bucket),
     so only the buckets present in the input are ever materialized.  Similar
-    inputs share buckets and therefore land near each other.
+    inputs share buckets and therefore land near each other.  Each token's
+    bucket is hashed once per instance; the memo holds one entry per distinct
+    token seen, which is bounded by the vocabulary of the inputs embedded.
     """
 
     n_buckets: int
@@ -56,6 +58,7 @@ class _HashedProjectionProvider(EmbeddingProvider):
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._directions: dict[int, np.ndarray] = {}
+        self._buckets: dict[str, int] = {}
 
     def _tokens(self, text: str) -> list[str]:
         raise NotImplementedError
@@ -71,13 +74,23 @@ class _HashedProjectionProvider(EmbeddingProvider):
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ProviderError("empty input")
+        buckets = self._buckets
         counts: dict[int, int] = {}
         for token in self._tokens(text):
-            b = _bucket(token, self.n_buckets)
+            b = buckets.get(token)
+            if b is None:
+                b = buckets[token] = _bucket(token, self.n_buckets)
             counts[b] = counts.get(b, 0) + 1
+        # the sum of count * direction in ascending bucket order, as float64;
+        # a count of 1 adds the direction itself, which is the same value
         vec = np.zeros(self.dim, dtype=np.float64)
+        scaled = np.empty(self.dim, dtype=np.float64)
         for b in sorted(counts):
-            vec += counts[b] * self._direction(b)
+            n = counts[b]
+            if n == 1:
+                vec += self._direction(b)
+            else:
+                vec += np.multiply(self._direction(b), n, out=scaled)
         norm = np.linalg.norm(vec)
         if norm == 0:
             raise ProviderError("degenerate input: zero embedding")

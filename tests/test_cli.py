@@ -290,6 +290,21 @@ class TestDegenerateViews:
         results = self._eval(config)
         assert not any(key.startswith("regression/") for key in results)
 
+    def test_train_skip_removes_stale_regression_model(self, trained,
+                                                       tmp_path, schema):
+        config = copy_run(trained, tmp_path)
+        out = config["paths"]["out_dir"]
+        stale = ["model_regression.ckpt", "model_regression.ckpt.bin",
+                 "history_regression.json"]
+        assert all(os.path.exists(os.path.join(out, n)) for n in stale)
+        set_split_rpas(config, schema, "val", [])
+        manifest = pipeline.RunManifest(config, out)
+        pipeline.run_stage("train", config, manifest)
+        assert not any(os.path.exists(os.path.join(out, n)) for n in stale)
+        results = self._eval(config)
+        assert "classification/test" in results
+        assert not any(key.startswith("regression/") for key in results)
+
 
 class TestCli:
     def _invoke(self, args):
@@ -356,3 +371,18 @@ class TestCli:
                                "--data", config["paths"]["corpus"]])
         assert result.exit_code == 0, result.output
         assert os.path.exists(os.path.join(out, "model_finetuned.ckpt"))
+
+    def test_predict_on_header_only_table(self, trained, tmp_path, schema):
+        config = copy_run(trained, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        data = tmp_path / "header_only.tsv"
+        write_sample_table([], data, schema)
+        out = config["paths"]["out_dir"]
+        result = self._invoke(["predict", "--config", str(config_path),
+                               "--checkpoint",
+                               os.path.join(out, "model_classification.ckpt"),
+                               "--data", str(data)])
+        assert result.exit_code == 0, result.output
+        assert open(os.path.join(out, "predictions.tsv")).read() == \
+            "sample_id\tprediction\n"

@@ -1,0 +1,156 @@
+"""The embedding layer's speed-ups change no output bit: the synthetic
+providers against a copy of their original embed loop, and the encode
+matrices against a row-by-row reference, with each distinct input embedded
+once."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from nanocorona.cache import CachedProvider, EmbeddingStore
+from nanocorona.encode import protein_matrix, text_matrix
+from nanocorona.prompts import render_prompt
+from nanocorona.providers import (
+    EmbeddingProvider,
+    SyntheticProteinProvider,
+    SyntheticTextProvider,
+    _bucket,
+    embed_protein,
+    embed_text,
+)
+from nanocorona.schema import SampleRecord, categorical
+
+from conftest import base_features, make_catalog, random_sequence
+
+
+def reference_embed(provider, text: str) -> np.ndarray:
+    """The synthetic embed loop as first written: every token hashed, and
+    a count * direction temporary per bucket."""
+    counts: dict[int, int] = {}
+    for token in provider._tokens(text):
+        b = _bucket(token, provider.n_buckets)
+        counts[b] = counts.get(b, 0) + 1
+    vec = np.zeros(provider.dim, dtype=np.float64)
+    for b in sorted(counts):
+        vec += counts[b] * provider._direction(b)
+    return (vec / np.linalg.norm(vec)).astype(np.float32)
+
+
+def assert_bits_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype == np.float32
+    assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def protein_inputs(rng) -> list[str]:
+    # a 4-letter alphabet repeats 3-mers; lengths 1 and 2 are one token
+    seqs = [random_sequence(rng, int(n), "ACDE")
+            for n in rng.integers(3, 60, 12)]
+    return seqs + ["A", "KL", random_sequence(rng, 2)]
+
+
+def text_inputs(rng) -> list[str]:
+    words = ["gold", "silica", "PBS", "water", "nm", "Unknown", "core:"]
+    return [" ".join(rng.choice(words, int(n)))
+            for n in rng.integers(2, 40, 12)] + ["gold"]
+
+
+@pytest.mark.parametrize("cls, make_inputs", [
+    (SyntheticProteinProvider, protein_inputs),
+    (SyntheticTextProvider, text_inputs)])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_embed_matches_reference_bit_for_bit(cls, make_inputs, seed):
+    inputs = make_inputs(np.random.default_rng(seed))
+    provider, reference = cls(seed), cls(seed)
+    assert any(max(Counter(provider._tokens(t)).values()) > 1
+               for t in inputs)
+    assert any(len(provider._tokens(t)) == 1 for t in inputs)
+    # one instance serves every input, then every input again: the second
+    # pass runs entirely on the warm bucket memo
+    for _ in range(2):
+        for text in inputs:
+            assert_bits_equal(provider.embed(text),
+                              reference_embed(reference, text))
+
+
+class CountingProvider(EmbeddingProvider):
+    """Delegates to `inner` and counts the calls per input."""
+
+    def __init__(self, inner: EmbeddingProvider):
+        self.inner = inner
+        self.provider_id = inner.provider_id
+        self.modality = inner.modality
+        self.dim = inner.dim
+        self.calls: Counter = Counter()
+
+    def embed(self, text: str) -> np.ndarray:
+        self.calls[text] += 1
+        return self.inner.embed(text)
+
+
+@pytest.fixture()
+def corpus(schema):
+    """24 records over 3 accessions and 4 feature maps, two of which differ
+    only in `core`, in a shuffled order."""
+    rng = np.random.default_rng(5)
+    catalog = make_catalog(3, seed=2)
+    maps = [base_features(schema, rng) for _ in range(3)]
+    maps.append({**maps[0], "core": categorical("gold")})
+    records = [SampleRecord(sample_id=f"s{i}", study_id="st", group_id="g",
+                            origin_id=f"o{i}", features=maps[i % 4],
+                            protein_accession=f"P0000{i % 3}")
+               for i in range(24)]
+    order = rng.permutation(len(records))
+    return [records[i] for i in order], catalog
+
+
+def wrapped(inner, how, tmp_path):
+    if how == "cached":
+        inner = CachedProvider(inner, EmbeddingStore(tmp_path / "emb.bin"))
+    return CountingProvider(inner)
+
+
+@pytest.mark.parametrize("how", ["bare", "cached"])
+@pytest.mark.parametrize("mask_set", [frozenset(), frozenset({"core"}),
+                                      frozenset({"core", "shape"})])
+def test_text_matrix_embeds_each_distinct_prompt_once(corpus, schema, how,
+                                                      mask_set, tmp_path):
+    records, _ = corpus
+    provider = wrapped(SyntheticTextProvider(0), how, tmp_path)
+    prompts = [render_prompt(r, schema, mask_set).text for r in records]
+    expected = np.stack([embed_text(p, SyntheticTextProvider(0))
+                         for p in prompts])
+    for _ in range(2):   # the second call finds a warm store when cached
+        provider.calls.clear()
+        matrix = text_matrix(records, schema, provider, mask_set)
+        assert_bits_equal(matrix, expected)
+        assert provider.calls == Counter(set(prompts))
+    assert len(provider.calls) == (3 if mask_set else 4)
+
+
+@pytest.mark.parametrize("how", ["bare", "cached"])
+def test_protein_matrix_embeds_each_distinct_accession_once(corpus, how,
+                                                            tmp_path):
+    records, catalog = corpus
+    provider = wrapped(SyntheticProteinProvider(0), how, tmp_path)
+    sequences = [catalog.lookup(r.protein_accession).sequence
+                 for r in records]
+    expected = np.stack([embed_protein(s, SyntheticProteinProvider(0))
+                         for s in sequences])
+    for _ in range(2):
+        provider.calls.clear()
+        matrix = protein_matrix(records, catalog, provider)
+        assert_bits_equal(matrix, expected)
+        assert provider.calls == Counter(set(sequences))
+    assert len(provider.calls) == 3
+
+
+def test_empty_record_list_gives_empty_matrices(schema):
+    protein, text = SyntheticProteinProvider(0), SyntheticTextProvider(0)
+    for matrix, provider in (
+            (protein_matrix([], make_catalog(1), protein), protein),
+            (text_matrix([], schema, text), text)):
+        assert matrix.shape == (0, provider.dim)
+        assert matrix.dtype == np.float32
