@@ -1,11 +1,17 @@
-"""Source hygiene: every name a program module imports is used there."""
+"""Source hygiene: every name a program module imports is used there, and
+the third-party modules it imports are exactly the declared dependencies."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "nanocorona"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nanocorona"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +53,22 @@ def test_no_unused_imports():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # an undeclared import breaks a clean install; a declared one nothing
+    # imports costs an install, and its import time comes back unnoticed
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {SRC.name}
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9._-]+", dep).group().lower()
+                for dep in project["dependencies"]}
+    assert third_party == declared
