@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CacheError
 from .prompts import canonical_hash
-from .providers import EmbeddingProvider, _validate_vector
+from .providers import EmbeddingProvider
 
 
 _HEAD = 36  # key (32 bytes) and provider_id length (uint32)
@@ -79,9 +79,6 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return len(self._index)
 
-    def keys(self) -> list[str]:
-        return sorted(self._index)
-
     def put(self, key_hex: str, provider_id: str, vector: np.ndarray) -> None:
         vec = np.asarray(vector, dtype=np.float32)
         pid = provider_id.encode("utf-8")
@@ -110,7 +107,9 @@ class EmbeddingStore:
             payload = fh.read(dim * 4)
             if len(payload) != dim * 4:
                 raise CacheError(f"truncated payload for {key_hex}")
-            vec = np.frombuffer(payload, dtype="<f4").copy()
+        vec = np.frombuffer(payload, dtype="<f4").copy()
+        if not np.isfinite(vec).all():
+            raise CacheError(f"non-finite payload for {key_hex}")
         return provider_id, vec
 
     def rebuild_index(self) -> None:
@@ -170,30 +169,6 @@ class EmbeddingStore:
         write_json_atomic(self.index_path, self._index, sort_keys=True)
 
 
-def cache_get_or_compute(key_hex: str, provider: EmbeddingProvider,
-                         store: EmbeddingStore, input_text: str) -> np.ndarray:
-    """Return the cached vector for a key, computing and persisting on miss.
-
-    A hit whose stored dimension or provider does not match the request
-    raises E_CACHE; the provider is not invoked on a hit.
-    """
-    entry = store.get(key_hex)
-    if entry is not None:
-        provider_id, vec = entry
-        if vec.shape[0] != provider.dim:
-            raise CacheError(
-                f"stored dim {vec.shape[0]} != requested dim {provider.dim}")
-        if provider_id != provider.provider_id:
-            raise CacheError(
-                f"stored provider {provider_id!r} != requested "
-                f"{provider.provider_id!r}")
-        return vec
-    vec = _validate_vector(provider.embed(input_text), provider.dim,
-                           provider.provider_id)
-    store.put(key_hex, provider.provider_id, vec)
-    return vec
-
-
 class CachedProvider(EmbeddingProvider):
     """Provider wrapper that routes every embed through a store."""
 
@@ -205,5 +180,23 @@ class CachedProvider(EmbeddingProvider):
         self.dim = inner.dim
 
     def embed(self, text: str) -> np.ndarray:
-        return cache_get_or_compute(canonical_hash(text), self.inner,
-                                    self.store, text)
+        """The stored vector for `text`, or the inner provider's, stored.
+
+        A hit whose stored dimension or provider does not match raises
+        E_CACHE; the inner provider is not called on a hit.
+        """
+        key_hex = canonical_hash(text)
+        entry = self.store.get(key_hex)
+        if entry is None:
+            vec = self.inner.embed(text)
+            self.store.put(key_hex, self.provider_id, vec)
+            return vec
+        provider_id, vec = entry
+        if vec.shape[0] != self.dim:
+            raise CacheError(
+                f"stored dim {vec.shape[0]} != requested dim {self.dim}")
+        if provider_id != self.provider_id:
+            raise CacheError(
+                f"stored provider {provider_id!r} != requested "
+                f"{self.provider_id!r}")
+        return vec

@@ -33,21 +33,24 @@ _SHARED_OPTIONS = (
 
 
 def _command(fn):
-    """Give `fn` the shared options and call it with the loaded config;
-    a package error is reported on stderr with exit code 1."""
+    """Give `fn` the shared options and call it with the loaded config; a bad
+    config or --set exits 2, a package error is reported and exits 1."""
     @functools.wraps(fn)
     def command(config, sets, out, seed, provider, endpoint, **kwargs):
-        cfg = pipeline.load_config(config)
-        pipeline.apply_overrides(cfg, list(sets))
-        if out:
-            cfg["paths"]["out_dir"] = out
-        if seed is not None:
-            cfg["split"]["seed"] = seed
-            cfg.setdefault("model", {})["seed"] = seed
-        if provider:
-            cfg["provider"]["kind"] = provider
-        if endpoint:
-            cfg["provider"]["endpoint"] = endpoint
+        try:
+            cfg = pipeline.load_config(config)
+            pipeline.apply_overrides(cfg, list(sets))
+            if out:
+                cfg["paths"]["out_dir"] = out
+            if seed is not None:
+                cfg["split"]["seed"] = seed
+                cfg.setdefault("model", {})["seed"] = seed
+            if provider:
+                cfg["provider"]["kind"] = provider
+            if endpoint:
+                cfg["provider"]["endpoint"] = endpoint
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise click.UsageError(f"bad config or --set: {exc}") from None
         try:
             fn(cfg, **kwargs)
         except NanocoronaError as exc:

@@ -10,7 +10,6 @@ from .errors import (
     EmptyInputError,
     MissingMolecularWeightError,
     NoDataError,
-    UnknownColumnError,
     UnknownUnitError,
     ZeroTotalError,
 )
@@ -23,6 +22,7 @@ from .schema import (
     SampleRecord,
     categorical,
     numeric,
+    read_tsv,
 )
 
 CORE_TYPES = frozenset({
@@ -77,17 +77,9 @@ class AlignmentTable:
 def load_alignment_table(path) -> AlignmentTable:
     """Load a TSV with columns feature_id, raw, canonical, derived_category."""
     table = AlignmentTable()
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        return table
-    header = lines[0].split("\t")
-    required = ("feature_id", "raw", "canonical", "derived_category")
-    for col in required:
-        if col not in header:
-            raise UnknownColumnError(f"missing alignment column {col!r}")
-    for line in lines[1:]:
-        row = dict(zip(header, line.split("\t")))
+    _, rows = read_tsv(path, ("feature_id", "raw", "canonical",
+                              "derived_category"))
+    for _, row in rows:
         table.add(row["feature_id"], row["raw"], row["canonical"],
                   row["derived_category"])
     return table
@@ -215,25 +207,20 @@ def _group_key(rec: SampleRecord, keys: tuple[str, ...]) -> tuple:
 
 
 def impute_numeric_weighted(records: list[SampleRecord], feature_id: str,
-                            grouping_keys: tuple[str, ...],
-                            hook=None) -> list[SampleRecord]:
+                            grouping_keys: tuple[str, ...]) -> list[SampleRecord]:
     """Fill Unknown numeric values with the record-weighted group mean.
 
     The finest grouping level with at least one observation wins; levels back
-    off by dropping trailing grouping keys, ending at the global mean.  An
-    optional hook(record, feature_id) may supply a value first (the seam for
-    external knowledge-based imputation).
+    off by dropping trailing grouping keys, ending at the global mean.
     """
     observed = [(rec, rec.features[feature_id].number)
                 for rec in records
                 if not rec.features.get(feature_id, UNKNOWN).is_unknown]
-    if not observed and all(
-            rec.features.get(feature_id, UNKNOWN).is_unknown for rec in records):
-        if hook is None:
-            raise NoDataError(f"feature {feature_id!r} observed nowhere")
+    if not observed:
+        raise NoDataError(f"feature {feature_id!r} observed nowhere")
 
     # level 0 = full key, level k = key with k trailing components dropped,
-    # final level = global mean (empty key)
+    # final level = global mean (empty key), which always has an observation
     levels = [grouping_keys[:len(grouping_keys) - k]
               for k in range(len(grouping_keys) + 1)]
     sums: list[dict] = [defaultdict(float) for _ in levels]
@@ -244,10 +231,7 @@ def impute_numeric_weighted(records: list[SampleRecord], feature_id: str,
             sums[li][gk] += value
             counts[li][gk] += 1
 
-    unit = None
-    for _, val in ((rec, rec.features[feature_id]) for rec, _ in observed):
-        unit = val.unit
-        break
+    unit = observed[0][0].features[feature_id].unit
 
     out = []
     flag = frozenset({f"imputed:{feature_id}"})
@@ -255,19 +239,11 @@ def impute_numeric_weighted(records: list[SampleRecord], feature_id: str,
         if not rec.features.get(feature_id, UNKNOWN).is_unknown:
             out.append(rec)
             continue
-        if hook is not None:
-            hooked = hook(rec, feature_id)
-            if hooked is not None:
-                out.append(rec.with_feature(feature_id, numeric(hooked, unit), flag))
-                continue
-        filled = None
         for li, keys in enumerate(levels):
             gk = _group_key(rec, keys)
             if counts[li][gk] > 0:
                 filled = sums[li][gk] / counts[li][gk]
                 break
-        if filled is None:
-            raise NoDataError(f"feature {feature_id!r} observed nowhere")
         out.append(rec.with_feature(feature_id, numeric(filled, unit), flag))
     return out
 

@@ -117,7 +117,6 @@ class RunManifest:
     """Per-run record: config digest, inputs, stage timings, output digests."""
 
     def __init__(self, config: dict, out_dir: str):
-        self.out_dir = out_dir
         self.config_digest = digest_bytes(
             json.dumps(config, sort_keys=True).encode())
         self.run_id = self.config_digest[:16]

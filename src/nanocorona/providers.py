@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 
 from .errors import DimensionError, ProviderError
-from .prompts import PromptText, canonical_hash
+from .prompts import canonical_hash
 
 PROTEIN_DIM = 2560
 TEXT_DIM = 4096
@@ -133,12 +133,12 @@ class SyntheticTextProvider(_HashedProjectionProvider):
 class PrecomputedProvider(EmbeddingProvider):
     """Serves vectors produced offline by real encoders, keyed by input hash."""
 
-    def __init__(self, store, modality: str, dim: int,
-                 provider_id: str = "precomputed"):
+    provider_id = "precomputed"
+
+    def __init__(self, store, modality: str, dim: int):
         self.store = store
         self.modality = modality
         self.dim = dim
-        self.provider_id = provider_id
 
     def embed(self, text: str) -> np.ndarray:
         entry = self.store.get(canonical_hash(text))
@@ -152,17 +152,13 @@ def embed_protein(sequence: str, provider: EmbeddingProvider) -> np.ndarray:
     if provider.modality != MODALITY_PROTEIN:
         raise ProviderError(f"provider {provider.provider_id} is not a "
                             "protein provider")
-    vec = provider.embed(sequence)
-    return _validate_vector(vec, provider.dim, provider.provider_id)
+    return provider.embed(sequence)
 
 
-def embed_text(prompt: PromptText | str,
-               provider: EmbeddingProvider) -> np.ndarray:
+def embed_text(text: str, provider: EmbeddingProvider) -> np.ndarray:
     if provider.modality != MODALITY_TEXT:
         raise ProviderError(f"provider {provider.provider_id} is not a "
                             "text provider")
-    text = prompt.text if isinstance(prompt, PromptText) else prompt
     if not text:
         raise ProviderError("empty input")
-    vec = provider.embed(text)
-    return _validate_vector(vec, provider.dim, provider.provider_id)
+    return provider.embed(text)

@@ -262,26 +262,40 @@ def _parse_cell(cell: str, fdef: FeatureDef, line_no: int) -> FeatureValue:
     return numeric(value, unit)
 
 
-def parse_sample_table(path, schema: FeatureSchema) -> list[SampleRecord]:
-    """Parse a TSV sample table into records; empty cells become Unknown."""
+def read_tsv(path, required: tuple[str, ...] = ()):
+    """(header, rows) of a TSV file, rows yielding (line number, {column:
+    cell}) one at a time; an empty file has no header and no rows.  The
+    only check of a table's required columns and of each row's cell count.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise RowShapeError("empty file")
+        return [], iter(())
     header = lines[0].split("\t")
+    for col in required:
+        if col not in header:
+            raise UnknownColumnError(f"missing column {col!r}")
+
+    def rows():
+        for idx, line in enumerate(lines[1:], start=2):
+            cells = line.split("\t")
+            if len(cells) != len(header):
+                raise RowShapeError(f"line {idx}: expected {len(header)} "
+                                    f"cells, got {len(cells)}")
+            yield idx, dict(zip(header, cells))
+    return header, rows()
+
+
+def parse_sample_table(path, schema: FeatureSchema) -> list[SampleRecord]:
+    """Parse a TSV sample table into records; empty cells become Unknown."""
+    header, rows = read_tsv(path, BOOKKEEPING_COLUMNS)
+    if not header:
+        raise RowShapeError("empty file")
     for col in header:
         if col not in BOOKKEEPING_COLUMNS and col not in schema:
             raise UnknownColumnError(f"unknown column {col!r}")
-    for col in BOOKKEEPING_COLUMNS:
-        if col not in header:
-            raise UnknownColumnError(f"missing bookkeeping column {col!r}")
     records = []
-    for idx, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise RowShapeError(
-                f"line {idx}: expected {len(header)} cells, got {len(cells)}")
-        row = dict(zip(header, cells))
+    for idx, row in rows:
         features = {}
         for fdef in schema.features:
             cell = row.get(fdef.feature_id, "")
@@ -335,23 +349,14 @@ def write_sample_table(records: list[SampleRecord], path, schema: FeatureSchema)
 def load_protein_catalog(path) -> ProteinCatalog:
     """Load a TSV catalog with columns accession, sequence, molecular_weight_kda."""
     catalog = ProteinCatalog()
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        return catalog
-    header = lines[0].split("\t")
-    required = ("accession", "sequence", "molecular_weight_kda")
-    for col in required:
-        if col not in header:
-            raise UnknownColumnError(f"missing catalog column {col!r}")
-    for idx, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise RowShapeError(
-                f"line {idx}: expected {len(header)} cells, got {len(cells)}")
-        row = dict(zip(header, cells))
+    _, rows = read_tsv(path, ("accession", "sequence", "molecular_weight_kda"))
+    for idx, row in rows:
         mw_cell = row["molecular_weight_kda"].strip()
-        mw = float(mw_cell) if mw_cell else None
+        try:
+            mw = float(mw_cell) if mw_cell else None
+        except ValueError:
+            raise BadNumberError(
+                f"line {idx}: bad molecular_weight_kda {mw_cell!r}") from None
         catalog.add(ProteinRecord(
             accession=row["accession"].strip(),
             sequence=row["sequence"].strip(),

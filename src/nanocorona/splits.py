@@ -10,8 +10,8 @@ import numpy as np
 
 from .boxcox import BoxCoxTransform, boxcox_apply
 from .curation import AFFINITY_THRESHOLD, binarize
-from .errors import EmptyCorpusError
-from .schema import SampleRecord
+from .errors import BadNumberError, EmptyCorpusError
+from .schema import SampleRecord, read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -120,12 +120,15 @@ def write_split_manifest(assignment: SplitAssignment, path) -> None:
 
 def read_split_manifest(path) -> SplitAssignment:
     assignment, bins = {}, {}
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for line in lines[1:]:
-        origin, split, b = line.split("\t")
-        assignment[origin] = split
-        bins[origin] = int(b)
+    _, rows = read_tsv(path, ("origin_id", "split", "bin"))
+    for idx, row in rows:
+        origin = row["origin_id"]
+        assignment[origin] = row["split"]
+        try:
+            bins[origin] = int(row["bin"])
+        except ValueError:
+            raise BadNumberError(
+                f"line {idx}: bad bin {row['bin']!r}") from None
     return SplitAssignment(assignment=assignment, bins=bins)
 
 

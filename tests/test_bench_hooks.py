@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import make_workspace
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -57,3 +59,25 @@ def test_microtimings_on_a_tiny_model(bench):
         for pass_ in ("fwd", "bwd")} | {"model.adam_step_ms"}
     assert all(unit == "ms" and value >= 0.0
                for value, unit in timings.values())
+
+
+def test_traced_run_counts_parse_store_and_provider_work(bench, tmp_path,
+                                                          schema):
+    # the counts come from call results and attributes (the parsed list's
+    # length, the store's index_path), which only a traced run exercises
+    layers, spans = bench
+    nc = program_modules(layers)
+    _, config = make_workspace(tmp_path, schema)
+    config["model"]["max_epochs"] = 1
+    tracer = spans.Tracer()
+    counters = layers.LayerCounters()
+    layers.install(tracer, nc, counters)
+    try:
+        nc["pipeline"].run_end_to_end(config)
+    finally:
+        tracer.uninstall()
+    counters.close_bundle()
+    metrics = layers.per_layer(tracer.summary(), counters)
+    for name in ("schema.parse_rows", "cache.get_calls", "cache.put_calls",
+                 "providers.embed_calls"):
+        assert metrics[name][0] > 0, name

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from nanocorona import cache
-from nanocorona.cache import CachedProvider, EmbeddingStore, cache_get_or_compute
+from nanocorona.cache import CachedProvider, EmbeddingStore
 from nanocorona.errors import CacheError
 from nanocorona.prompts import canonical_hash
-from nanocorona.providers import SyntheticProteinProvider
+from nanocorona.providers import PrecomputedProvider, SyntheticProteinProvider
 
 
 def _key(text: str) -> str:
@@ -231,41 +231,61 @@ class TestRecovery:
 
 
 class TestCacheGetOrCompute:
+    """CachedProvider.embed: a miss computes and stores, a hit is checked
+    against the provider and served from the store."""
+
     def test_miss_computes_and_persists(self, tmp_path):
         store = EmbeddingStore(tmp_path / "emb.bin")
         provider = CountingProvider()
-        key = canonical_hash("ACDEFGHIKL")
-        vec = cache_get_or_compute(key, provider, store, "ACDEFGHIKL")
+        vec = CachedProvider(provider, store).embed("ACDEFGHIKL")
         assert provider.calls == 1
+        key = canonical_hash("ACDEFGHIKL")
         assert key in store
         assert np.array_equal(store.get(key)[1], vec)
 
     def test_hit_skips_provider(self, tmp_path):
         store = EmbeddingStore(tmp_path / "emb.bin")
         provider = CountingProvider()
-        key = canonical_hash("ACDEFGHIKL")
-        first = cache_get_or_compute(key, provider, store, "ACDEFGHIKL")
-        second = cache_get_or_compute(key, provider, store, "ACDEFGHIKL")
+        first = CachedProvider(provider, store).embed("ACDEFGHIKL")
+        second = CachedProvider(provider, store).embed("ACDEFGHIKL")
         assert provider.calls == 1
         assert np.array_equal(first, second)
 
     def test_dim_mismatch_on_hit(self, tmp_path):
         store = EmbeddingStore(tmp_path / "emb.bin")
         provider = CountingProvider()
-        key = canonical_hash("ACDEFGHIKL")
-        store.put(key, provider.provider_id, np.ones(7, dtype=np.float32))
+        store.put(canonical_hash("ACDEFGHIKL"), provider.provider_id,
+                  np.ones(7, dtype=np.float32))
         with pytest.raises(CacheError, match="dim"):
-            cache_get_or_compute(key, provider, store, "ACDEFGHIKL")
+            CachedProvider(provider, store).embed("ACDEFGHIKL")
         assert provider.calls == 0
 
     def test_provider_mismatch_on_hit(self, tmp_path):
         store = EmbeddingStore(tmp_path / "emb.bin")
         provider = CountingProvider(seed=1)
-        key = canonical_hash("ACDEFGHIKL")
-        store.put(key, "someone-else",
+        store.put(canonical_hash("ACDEFGHIKL"), "someone-else",
                   np.ones(provider.dim, dtype=np.float32))
         with pytest.raises(CacheError, match="provider"):
-            cache_get_or_compute(key, provider, store, "ACDEFGHIKL")
+            CachedProvider(provider, store).embed("ACDEFGHIKL")
+        assert provider.calls == 0
+
+
+def test_non_finite_stored_vector_is_a_cache_error(tmp_path):
+    # a stored vector is checked once, where it is read from the file
+    store = EmbeddingStore(tmp_path / "emb.bin")
+    provider = CountingProvider()
+    vec = np.ones(provider.dim, dtype=np.float32)
+    vec[3] = np.nan
+    key = canonical_hash("ACDEFGHIKL")
+    store.put(key, provider.provider_id, vec)
+    with pytest.raises(CacheError, match="non-finite"):
+        store.get(key)
+    with pytest.raises(CacheError, match="non-finite"):
+        CachedProvider(provider, store).embed("ACDEFGHIKL")
+    assert provider.calls == 0
+    precomputed = PrecomputedProvider(store, "protein", provider.dim)
+    with pytest.raises(CacheError, match="non-finite"):
+        precomputed.embed("ACDEFGHIKL")
 
 
 class TestCachedProvider:

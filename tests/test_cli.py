@@ -322,6 +322,22 @@ class TestCli:
         result = self._invoke(["curate", "--config", "/nonexistent.json"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("override", ["foo", "split.seed.x=1"])
+    def test_bad_set_is_a_usage_error(self, tmp_path, schema, override):
+        config_path, _ = make_workspace(tmp_path, schema)
+        result = self._invoke(["curate", "--config", str(config_path),
+                               "--set", override])
+        assert result.exit_code == 2, result.output
+        assert "bad config or --set" in result.output
+
+    @pytest.mark.parametrize("text", ["{", "[1]"])
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        result = self._invoke(["curate", "--config", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert "bad config or --set" in result.output
+
     def test_curate_stage_succeeds(self, tmp_path, schema):
         config_path, config = make_workspace(tmp_path, schema)
         result = self._invoke(["curate", "--config", str(config_path)])

@@ -13,12 +13,14 @@ from nanocorona.curation import (
     QuantityObservation,
     RetainedOriginal,
     align_categorical,
+    apply_alignment,
     binarize,
     build_reference_curve,
     estimate_rpa,
     global_fill,
     impute_numeric_weighted,
     impute_protocol_defaults,
+    load_alignment_table,
     local_fill,
     normalize_concentration,
     top_n_scale,
@@ -76,6 +78,22 @@ class TestAlignCategorical:
         table = AlignmentTable()
         with pytest.raises(ValueError):
             table.add("core", "x", "x", "not-a-core-type")
+
+    def test_loaded_table_aligns_records(self, tmp_path, schema):
+        path = tmp_path / "align.tsv"
+        path.write_text("feature_id\traw\tcanonical\tderived_category\n"
+                        "core\tGO\tcarbon\tcarbon-based\n"
+                        "shape\tnanosphere\tspherical\tspherical\n")
+        table = load_alignment_table(path)
+        records = [_rec(schema, "a", core=categorical("GO"),
+                        core_type=UNKNOWN, shape=categorical("nanosphere")),
+                   _rec(schema, "b", core=categorical("Au"),
+                        core_type=UNKNOWN)]
+        aligned, untouched = apply_alignment(records, table, schema)
+        assert aligned.features["core"] == categorical("carbon")
+        assert aligned.features["core_type"] == categorical("carbon-based")
+        assert aligned.features["shape"] == categorical("spherical")
+        assert untouched.features == records[1].features
 
 
 class TestNormalizeConcentration:
@@ -153,13 +171,6 @@ class TestImputeNumericWeighted:
         records = [_rec(schema, "a", dls_size=UNKNOWN)]
         with pytest.raises(NoDataError):
             impute_numeric_weighted(records, "dls_size", self.KEYS)
-
-    def test_hook_takes_precedence(self, schema):
-        records = [_rec(schema, "a", dls_size=numeric(10.0, "nm")),
-                   _rec(schema, "b", dls_size=UNKNOWN)]
-        out = impute_numeric_weighted(records, "dls_size", self.KEYS,
-                                      hook=lambda rec, fid: 42.0)
-        assert out[1].features["dls_size"].number == 42.0
 
 
 class TestImputeProtocolDefaults:

@@ -165,7 +165,8 @@ class TestRemoteEmbed:
 
     @pytest.mark.parametrize("payload", [
         b"not json", [1, 2], {"dim": DIM, "vector": "abc"},
-        {"dim": DIM}, {"dim": DIM, "vector": ["x"] * DIM}])
+        {"dim": DIM}, {"dim": DIM, "vector": ["x"] * DIM},
+        {"dim": DIM, "vector": [float("nan")] + [0.0] * (DIM - 1)}])
     def test_malformed_body_is_a_provider_error_without_retry(
             self, mock_server, payload):
         mock_server.script = [(200, payload)]

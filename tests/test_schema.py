@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from nanocorona.curation import load_alignment_table
 from nanocorona.errors import (
+    BadNumberError,
     BadSequenceError,
     DuplicateAccessionError,
     RowShapeError,
@@ -26,6 +28,7 @@ from nanocorona.schema import (
     write_protein_catalog,
     write_sample_table,
 )
+from nanocorona.splits import read_split_manifest
 
 from conftest import base_features, make_catalog
 
@@ -125,6 +128,45 @@ class TestParseSampleTable:
         assert path.read_bytes() == path2.read_bytes()
 
 
+def _sample_table(path):
+    return parse_sample_table(path, default_schema())
+
+
+# reader, its required columns, and one valid row under those columns
+TABLE_READERS = {
+    "sample_table": (_sample_table,
+                     [*BOOKKEEPING_COLUMNS, *default_schema().feature_ids],
+                     _full_row(default_schema(), "s1")),
+    "protein_catalog": (load_protein_catalog,
+                        ["accession", "sequence", "molecular_weight_kda"],
+                        ["P1", "ACDE", "66.5"]),
+    "alignment_table": (load_alignment_table,
+                        ["feature_id", "raw", "canonical", "derived_category"],
+                        ["core", "GO", "carbon", "carbon-based"]),
+    "split_manifest": (read_split_manifest, ["origin_id", "split", "bin"],
+                       ["o1", "train", "0"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_READERS))
+class TestTableReaders:
+    """Every TSV reader checks its header and row shapes the same way."""
+
+    def test_missing_required_column(self, tmp_path, name):
+        reader, header, row = TABLE_READERS[name]
+        path = tmp_path / "t.tsv"
+        _write_table(path, header[1:], [row[1:]])
+        with pytest.raises(UnknownColumnError, match=repr(header[0])):
+            reader(path)
+
+    def test_short_row_names_its_line(self, tmp_path, name):
+        reader, header, row = TABLE_READERS[name]
+        path = tmp_path / "t.tsv"
+        _write_table(path, header, [row, row[:-1]])
+        with pytest.raises(RowShapeError, match="line 3"):
+            reader(path)
+
+
 class TestProteinCatalog:
     def test_lookup_exact_match(self, tmp_path):
         path = tmp_path / "cat.tsv"
@@ -149,6 +191,13 @@ class TestProteinCatalog:
 
     def test_ambiguity_codes_accepted(self):
         ProteinRecord(accession="P1", sequence="ACDBXZJOU")
+
+    def test_bad_molecular_weight_names_its_line(self, tmp_path):
+        path = tmp_path / "cat.tsv"
+        path.write_text("accession\tsequence\tmolecular_weight_kda\n"
+                        "P1\tACDE\t66.5\nP2\tWYVA\theavy\n")
+        with pytest.raises(BadNumberError, match="line 3"):
+            load_protein_catalog(path)
 
     def test_catalog_roundtrip(self, tmp_path):
         catalog = make_catalog(5, seed=1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nanocorona.boxcox import BoxCoxTransform, boxcox_apply
-from nanocorona.errors import EmptyCorpusError
+from nanocorona.errors import BadNumberError, EmptyCorpusError
 from nanocorona.splits import (
     ZERO_BIN,
     assign_splits,
@@ -156,6 +156,13 @@ class TestManifest:
         loaded = read_split_manifest(path)
         assert loaded.assignment == assignment.assignment
         assert loaded.bins == assignment.bins
+
+    def test_bad_bin_names_its_line(self, tmp_path):
+        path = tmp_path / "split.tsv"
+        path.write_text("origin_id\tsplit\tbin\no1\ttrain\t0\n"
+                        "o2\tval\tx\n")
+        with pytest.raises(BadNumberError, match="line 3"):
+            read_split_manifest(path)
 
     def test_write_is_deterministic(self, tmp_path, schema):
         corpus = _corpus(schema, 50)
