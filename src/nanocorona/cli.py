@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import sys
 
@@ -34,22 +35,20 @@ _SHARED_OPTIONS = (
 
 def _command(fn):
     """Give `fn` the shared options and call it with the loaded config; a bad
-    config or --set exits 2, a package error is reported and exits 1."""
+    config or --set exits 2, a package error is reported and exits 1.  The
+    flags are overrides applied after the --set items."""
     @functools.wraps(fn)
     def command(config, sets, out, seed, provider, endpoint, **kwargs):
+        flags = [("paths.out_dir", out), ("split.seed", seed),
+                 ("model.seed", seed), ("provider.kind", provider),
+                 ("provider.endpoint", endpoint)]
+        overrides = [*sets, *(f"{key}={json.dumps(value)}"
+                              for key, value in flags
+                              if value not in (None, ""))]
         try:
-            cfg = pipeline.load_config(config)
-            pipeline.apply_overrides(cfg, list(sets))
-            if out:
-                cfg["paths"]["out_dir"] = out
-            if seed is not None:
-                cfg["split"]["seed"] = seed
-                cfg.setdefault("model", {})["seed"] = seed
-            if provider:
-                cfg["provider"]["kind"] = provider
-            if endpoint:
-                cfg["provider"]["endpoint"] = endpoint
-        except (AttributeError, TypeError, ValueError) as exc:
+            cfg = pipeline.apply_overrides(pipeline.load_config(config),
+                                           overrides)
+        except ValueError as exc:
             raise click.UsageError(f"bad config or --set: {exc}") from None
         try:
             fn(cfg, **kwargs)

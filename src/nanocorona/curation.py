@@ -10,6 +10,7 @@ from .errors import (
     EmptyInputError,
     MissingMolecularWeightError,
     NoDataError,
+    OutOfRangeError,
     UnknownUnitError,
     ZeroTotalError,
 )
@@ -79,9 +80,12 @@ def load_alignment_table(path) -> AlignmentTable:
     table = AlignmentTable()
     _, rows = read_tsv(path, ("feature_id", "raw", "canonical",
                               "derived_category"))
-    for _, row in rows:
-        table.add(row["feature_id"], row["raw"], row["canonical"],
-                  row["derived_category"])
+    for line_no, row in rows:
+        try:
+            table.add(row["feature_id"], row["raw"], row["canonical"],
+                      row["derived_category"])
+        except ValueError as exc:
+            raise OutOfRangeError(f"line {line_no}: {exc}") from None
     return table
 
 
@@ -204,6 +208,14 @@ def _group_key(rec: SampleRecord, keys: tuple[str, ...]) -> tuple:
         value = rec.features.get(fid, UNKNOWN)
         parts.append(None if value.is_unknown else value.text)
     return tuple(parts)
+
+
+# The numeric features a filled variant imputes, and the grouping keys whose
+# levels impute_numeric_weighted backs off through, finest first.
+IMPUTE_FEATURES = ("dls_size", "zeta_potential", "pdi", "concentration",
+                   "surface_area")
+GROUPING_KEYS = ("core", "core_type", "surface_modification",
+                 "modification_type", "shape")
 
 
 def impute_numeric_weighted(records: list[SampleRecord], feature_id: str,

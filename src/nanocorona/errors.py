@@ -92,10 +92,6 @@ class NonFiniteError(NanocoronaError):
     code = "E_NONFINITE"
 
 
-class DivergedError(NanocoronaError):
-    code = "E_DIVERGED"
-
-
 class NoPositivesError(NanocoronaError):
     code = "E_NO_POSITIVES"
 

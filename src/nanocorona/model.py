@@ -19,7 +19,6 @@ from .autodiff import Tensor, concat, layer_norm
 from .errors import (
     CorruptError,
     DimensionError,
-    DivergedError,
     NonFiniteError,
     NoPositivesError,
     VersionError,
@@ -478,8 +477,6 @@ def train(data_train, data_val, config: ModelConfig,
             batch_x = text[idx] if text is not None else None
             loss, grads = compute_gradients(params, batch_p, batch_x,
                                             labels[idx], w_pos)
-            if not np.isfinite(loss):
-                raise DivergedError(f"loss diverged at epoch {epoch}")
             optimizer.step(params, grads)
             epoch_loss += loss
             n_batches += 1

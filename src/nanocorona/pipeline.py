@@ -4,11 +4,12 @@ finetune, predict — driven by one JSON config with chained run manifests."""
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import json
 import os
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from . import curation, model, splits
 from .boxcox import BoxCoxTransform, fit_boxcox
 from .cache import CachedProvider, EmbeddingStore, write_json_atomic
 from .encode import ProviderBundle, distinct_prompts, encode_view, predict
-from .errors import NanocoronaError, StageError
+from .errors import NoDataError, StageError
 from .importance import (
     ablate_feature,
     ablate_pair,
@@ -49,30 +50,37 @@ DEFAULT_CONFIG = {
         "cache": "embeddings.bin",
         "out_dir": "out",
     },
-    "curation": {
-        "make_filled_variants": True,
-        "local_fill": True,
-        "top_n_scaling": False,
-        "global_fill": True,
-        "impute_features": ["dls_size", "zeta_potential", "pdi",
-                            "concentration", "surface_area"],
-        "grouping_keys": ["core", "core_type", "surface_modification",
-                          "modification_type", "shape"],
-    },
     "split": {"seed": 7, "n_bins": 10},
     "provider": {"kind": "synthetic", "seed": 0, "endpoint": None},
-    "model": {},
+    # every ModelConfig field but those stage_train sets itself: the task
+    # and each provider's output width
+    "model": {f.name: f.default for f in fields(model.ModelConfig)
+              if f.name not in ("task", "protein_dim", "text_dim")},
     "ablation": {"features": [], "pairs": [], "epsilon": 0.01},
 }
 
 
-def _deep_update(base: dict, override: dict) -> dict:
-    out = dict(base)
+def _deep_update(base: dict, override) -> dict:
+    """A copy of base with override merged in.  DEFAULT_CONFIG is the
+    schema: each key of override must be a key of base, holding an object
+    exactly where base holds one.  Otherwise ValueError names the key's
+    dotted path, as in "ablation.feature: not a config key"."""
+    if not isinstance(override, dict):
+        raise ValueError("a config is a JSON object")
+    out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_update(out[key], value)
-        else:
-            out[key] = value
+        if key not in base:
+            raise ValueError(f"{key}: not a config key")
+        if isinstance(value, dict) != isinstance(base[key], dict):
+            expected = "an object" if isinstance(base[key], dict) \
+                else "a value"
+            raise ValueError(f"{key}: expected {expected}")
+        if isinstance(value, dict):
+            try:
+                value = _deep_update(base[key], value)
+            except ValueError as exc:
+                raise ValueError(f"{key}.{exc}") from None
+        out[key] = value
     return out
 
 
@@ -83,8 +91,9 @@ def load_config(path) -> dict:
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
-    """Apply repeated --set key.path=value flags; values parse as JSON when
-    possible, else as strings."""
+    """Merge repeated KEY.PATH=VALUE items into config in place, checked as
+    a config file is; values parse as JSON when possible, else as
+    strings."""
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
@@ -93,11 +102,9 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        config.update(_deep_update(config, value))
     return config
 
 
@@ -152,9 +159,9 @@ class RunManifest:
 def build_providers(config: dict) -> ProviderBundle:
     pcfg = config["provider"]
     store = EmbeddingStore(config["paths"]["cache"])
-    kind = pcfg.get("kind", "synthetic")
+    kind = pcfg["kind"]
     if kind == "synthetic":
-        seed = int(pcfg.get("seed", 0))
+        seed = int(pcfg["seed"])
         protein = SyntheticProteinProvider(seed)
         text = SyntheticTextProvider(seed)
     elif kind == "precomputed":
@@ -180,7 +187,7 @@ def _out(config: dict, name: str) -> str:
     return os.path.join(config["paths"]["out_dir"], name)
 
 
-def make_filled_variants(records, schema, ccfg):
+def make_filled_variants(records, schema):
     """Imputed copies of raw records that have missing features.
 
     The copy shares its origin_id with the raw record so splitting keeps the
@@ -193,12 +200,11 @@ def make_filled_variants(records, schema, ccfg):
     variants = [replace(rec, sample_id=rec.sample_id + "::filled",
                         is_filled_variant=True)
                 for rec in incomplete]
-    keys = tuple(ccfg["grouping_keys"])
-    for fid in ccfg["impute_features"]:
+    for fid in curation.IMPUTE_FEATURES:
         try:
             variants = curation.impute_numeric_weighted(
-                records + variants, fid, keys)[len(records):]
-        except NanocoronaError:
+                records + variants, fid, curation.GROUPING_KEYS)[len(records):]
+        except NoDataError:
             continue
     variants = curation.impute_protocol_defaults(records + variants,
                                                  schema)[len(records):]
@@ -206,41 +212,23 @@ def make_filled_variants(records, schema, ccfg):
 
 
 def stage_curate(config: dict) -> list[str]:
+    """Align (when a table is configured), zero fill each study, then the
+    corpus, and add an imputed variant of each record missing a feature."""
     paths = config["paths"]
-    ccfg = config["curation"]
     schema = default_schema()
     records = parse_sample_table(paths["corpus"], schema)
     catalog = load_protein_catalog(paths["catalog"])
-    if paths.get("alignment_table"):
+    if paths["alignment_table"]:
         table = curation.load_alignment_table(paths["alignment_table"])
         records = curation.apply_alignment(records, table, schema)
     by_study: dict[str, list] = {}
     for rec in records:
         by_study.setdefault(rec.study_id, []).append(rec)
     curated = []
-    curve = None
-    if ccfg["top_n_scaling"]:
-        complete = []
-        for study_records in by_study.values():
-            vals = [r.rpa for r in study_records if r.rpa is not None]
-            if len(vals) > curation.TOP_N_LIMIT and abs(sum(vals) - 1) < 1e-6:
-                complete.append(vals)
-        if complete:
-            curve = curation.build_reference_curve(complete)
     for study_id in sorted(by_study):
-        study_records = by_study[study_id]
-        if curve is not None:
-            vals = [r.rpa for r in study_records if r.rpa is not None]
-            if abs(sum(vals) - 1) < 1e-6 and len(vals) <= curation.TOP_N_LIMIT:
-                study_records = curation.top_n_scale(study_records,
-                                                    curve).records
-        if ccfg["local_fill"]:
-            study_records = curation.local_fill(study_records)
-        curated.extend(study_records)
-    if ccfg["global_fill"]:
-        curated = curation.global_fill(curated)
-    if ccfg["make_filled_variants"]:
-        curated = curated + make_filled_variants(curated, schema, ccfg)
+        curated.extend(curation.local_fill(by_study[study_id]))
+    curated = curation.global_fill(curated)
+    curated = curated + make_filled_variants(curated, schema)
     report = validate_corpus(curated, catalog)
     curated_path = _out(config, "curated.tsv")
     write_sample_table(curated, curated_path, schema)
@@ -345,7 +333,9 @@ def stage_train(config: dict) -> list[str]:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(_out(config, name))
             continue
-        cfg = model.ModelConfig(**{**config["model"], "task": task})
+        cfg = model.ModelConfig(**config["model"], task=task,
+                                protein_dim=providers.protein.dim,
+                                text_dim=providers.text.dim)
         train_data, val_data = (
             encode_view(view.records, view.labels, schema, catalog,
                         providers, cfg.modality)
@@ -467,29 +457,31 @@ def write_csv(path: str, header, rows) -> str:
     return path
 
 
-# the files a stage reads besides the corpus and the catalog; a checkpoint
-# is its JSON header and its .bin weights
-_VIEW_INPUTS = ["curated.tsv", "split_manifest.tsv", "boxcox.json"]
+# what each stage reads: a key of config["paths"], or a file in the out
+# dir; a checkpoint is its JSON header and its .bin weights.  The embedding
+# store is left out: it is a cache, appended to during the stage.
+_VIEW_INPUTS = ["catalog", "curated.tsv", "split_manifest.tsv", "boxcox.json"]
 _CLASSIFIER = ["model_classification.ckpt", "model_classification.ckpt.bin"]
 _REGRESSOR = ["model_regression.ckpt", "model_regression.ckpt.bin"]
 
 STAGES = {
-    "curate": (stage_curate, []),
+    "curate": (stage_curate, ["corpus", "catalog", "alignment_table"]),
     "split": (stage_split, ["curated.tsv"]),
-    "embed": (stage_embed, ["curated.tsv"]),
+    "embed": (stage_embed, ["catalog", "curated.tsv"]),
     "train": (stage_train, _VIEW_INPUTS),
     "eval": (stage_eval, _VIEW_INPUTS + _CLASSIFIER + _REGRESSOR),
     "ablate": (stage_ablate, _VIEW_INPUTS + _CLASSIFIER),
 }
 
-RUN_ALL_ORDER = ("curate", "split", "embed", "train", "eval", "ablate")
+RUN_ALL_ORDER = tuple(STAGES)
 
 
 def run_stage(name: str, config: dict, manifest: RunManifest) -> list[str]:
     fn, stage_inputs = STAGES[name]
-    os.makedirs(config["paths"]["out_dir"], exist_ok=True)
-    inputs = [config["paths"]["corpus"], config["paths"]["catalog"]]
-    inputs += [_out(config, rel) for rel in stage_inputs]
+    paths = config["paths"]
+    os.makedirs(paths["out_dir"], exist_ok=True)
+    inputs = [paths[key] if key in paths else _out(config, key)
+              for key in stage_inputs]
     started = time.monotonic()
     try:
         outputs = fn(config)
@@ -497,13 +489,13 @@ def run_stage(name: str, config: dict, manifest: RunManifest) -> list[str]:
         raise
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
-    manifest.record_stage(name, inputs, outputs, time.monotonic() - started)
+    manifest.record_stage(name, [p for p in inputs if p], outputs,
+                          time.monotonic() - started)
     return outputs
 
 
 def run_end_to_end(config: dict) -> dict:
     """Chain every stage; any failure aborts naming the failing stage."""
-    os.makedirs(config["paths"]["out_dir"], exist_ok=True)
     manifest = RunManifest(config, config["paths"]["out_dir"])
     artifacts = {}
     for name in RUN_ALL_ORDER:

@@ -61,16 +61,23 @@ class TestConfig:
         config = pipeline.load_config(path)
         assert config["split"]["seed"] == 99
         assert config["split"]["n_bins"] == 10  # default preserved
-        assert config["curation"]["local_fill"] is True
+        assert config["model"]["d_shared"] == 1024
 
     def test_apply_overrides_dot_paths_and_json_values(self):
-        config = {"split": {"seed": 1}, "provider": {"kind": "synthetic"}}
+        config = {"split": {"seed": 1}, "provider": {"kind": "synthetic"},
+                  "ablation": {"pairs": []}}
         pipeline.apply_overrides(config, ["split.seed=5",
                                           "provider.kind=remote",
-                                          "curation.local_fill=false"])
+                                          'ablation.pairs=[["core","shape"]]'])
         assert config["split"]["seed"] == 5
         assert config["provider"]["kind"] == "remote"
-        assert config["curation"]["local_fill"] is False
+        assert config["ablation"]["pairs"] == [["core", "shape"]]
+
+    def test_overrides_leave_the_defaults_alone(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("{}")
+        pipeline.apply_overrides(pipeline.load_config(path), ["split.seed=3"])
+        assert pipeline.load_config(path)["split"]["seed"] == 7
 
     def test_apply_overrides_rejects_missing_equals(self):
         with pytest.raises(ValueError):
@@ -234,8 +241,8 @@ class TestStageInputs:
         saved = json.loads(open(os.path.join(out,
                                              "run_manifest.json")).read())
         inputs = {s["stage"]: s["inputs"] for s in saved["stages"]}
-        views = {"corpus.tsv", "catalog.tsv", "curated.tsv",
-                 "split_manifest.tsv", "boxcox.json"}
+        views = {"catalog.tsv", "curated.tsv", "split_manifest.tsv",
+                 "boxcox.json"}
         classifier = {"model_classification.ckpt",
                       "model_classification.ckpt.bin"}
         regressor = {"model_regression.ckpt", "model_regression.ckpt.bin"}
@@ -245,6 +252,19 @@ class TestStageInputs:
             views | classifier
         weights = os.path.join(out, "model_classification.ckpt.bin")
         assert inputs["ablate"][weights] == pipeline.digest_file(weights)
+
+    def test_curate_and_split_record_what_they_read(self, tmp_path, schema):
+        _, config = make_workspace(tmp_path, schema)
+        table = tmp_path / "align.tsv"
+        table.write_text("feature_id\traw\tcanonical\tderived_category\n")
+        config["paths"]["alignment_table"] = str(table)
+        manifest = pipeline.RunManifest(config, config["paths"]["out_dir"])
+        for name in ("curate", "split"):
+            pipeline.run_stage(name, config, manifest)
+        inputs = {s["stage"]: {os.path.basename(p) for p in s["inputs"]}
+                  for s in manifest.stages}
+        assert inputs["curate"] == {"corpus.tsv", "catalog.tsv", "align.tsv"}
+        assert inputs["split"] == {"curated.tsv"}
 
 
 class TestDegenerateViews:
@@ -337,6 +357,46 @@ class TestCli:
         result = self._invoke(["curate", "--config", str(config_path)])
         assert result.exit_code == 2, result.output
         assert "bad config or --set" in result.output
+
+    @pytest.mark.parametrize("user, override, path", [
+        ({"ablations": {}}, None, "ablations"),
+        ({"ablation": {"feature": ["core"]}}, None, "ablation.feature"),
+        ({"model": {"max_epoch": 5}}, None, "model.max_epoch"),
+        ({"split": 5}, None, "split"),
+        ({}, "split.sed=3", "split.sed"),
+        ({}, "curation.local_fill=false", "curation"),
+        *(({"curation": {key: None}}, None, "curation")
+          for key in ("make_filled_variants", "local_fill", "top_n_scaling",
+                      "global_fill", "impute_features", "grouping_keys")),
+        *(({"model": {key: 1}}, None, f"model.{key}")
+          for key in ("task", "protein_dim", "text_dim")),
+    ])
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path, user,
+                                                 override, path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(user))
+        args = ["curate", "--config", str(config_path)]
+        result = self._invoke(args + ["--set", override] if override
+                              else args)
+        assert result.exit_code == 2, result.output
+        assert f"bad config or --set: {path}: " in result.output
+
+    def test_flags_override_config_and_set(self, tmp_path, schema,
+                                           monkeypatch):
+        config_path, _ = make_workspace(tmp_path, schema)
+        seen = []
+        monkeypatch.setattr(pipeline, "run_stage",
+                            lambda name, cfg, manifest: seen.append(cfg) or [])
+        result = self._invoke([
+            "curate", "--config", str(config_path), "--set", "model.seed=4",
+            "--out", "123", "--seed", "0", "--provider", "remote",
+            "--endpoint", "http://127.0.0.1:1"])
+        assert result.exit_code == 0, result.output
+        [cfg] = seen
+        assert cfg["paths"]["out_dir"] == "123"
+        assert cfg["split"]["seed"] == cfg["model"]["seed"] == 0
+        assert cfg["provider"] == {"kind": "remote", "seed": 0,
+                                   "endpoint": "http://127.0.0.1:1"}
 
     def test_curate_stage_succeeds(self, tmp_path, schema):
         config_path, config = make_workspace(tmp_path, schema)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from nanocorona.curation import (
+    GROUPING_KEYS,
+    IMPUTE_FEATURES,
     AlignmentTable,
     QuantityObservation,
     RetainedOriginal,
@@ -28,10 +30,17 @@ from nanocorona.curation import (
 from nanocorona.errors import (
     MissingMolecularWeightError,
     NoDataError,
+    OutOfRangeError,
     UnknownUnitError,
     ZeroTotalError,
 )
-from nanocorona.schema import SampleRecord, UNKNOWN, categorical, numeric
+from nanocorona.schema import (
+    NUMERIC,
+    SampleRecord,
+    UNKNOWN,
+    categorical,
+    numeric,
+)
 
 from conftest import base_features
 
@@ -79,6 +88,14 @@ class TestAlignCategorical:
         with pytest.raises(ValueError):
             table.add("core", "x", "x", "not-a-core-type")
 
+    def test_bad_category_in_loaded_table_names_its_line(self, tmp_path):
+        path = tmp_path / "align.tsv"
+        path.write_text("feature_id\traw\tcanonical\tderived_category\n"
+                        "core\tGO\tcarbon\tcarbon-based\n"
+                        "core\tx\tx\tnot-a-class\n")
+        with pytest.raises(OutOfRangeError, match="line 3: .*'not-a-class'"):
+            load_alignment_table(path)
+
     def test_loaded_table_aligns_records(self, tmp_path, schema):
         path = tmp_path / "align.tsv"
         path.write_text("feature_id\traw\tcanonical\tderived_category\n"
@@ -119,6 +136,11 @@ class TestNormalizeConcentration:
 
 class TestImputeNumericWeighted:
     KEYS = ("core", "shape")
+
+    def test_curation_constants_name_schema_features(self, schema):
+        # a misspelt name would be observed nowhere and silently skipped
+        assert all(schema[fid].kind == NUMERIC for fid in IMPUTE_FEATURES)
+        assert set(GROUPING_KEYS) <= set(schema.feature_ids)
 
     def test_weighted_mean(self, schema):
         records = ([_rec(schema, "a0", dls_size=numeric(10.0, "nm"))]
