@@ -27,6 +27,7 @@ import numpy as np
 from .errors import CacheError
 from .prompts import canonical_hash
 from .providers import EmbeddingProvider
+from .schema import write_json_atomic
 
 
 _HEAD = 36  # key (32 bytes) and provider_id length (uint32)
@@ -46,16 +47,6 @@ def _record_end(fh, offset: int, size: int):
         return None
     end = offset + _HEAD + pid_len + 4 + 4 * struct.unpack("<I", dim)[0]
     return None if end > size else (head[:32].hex(), end)
-
-
-def write_json_atomic(path: str, obj, **dump_kwargs) -> None:
-    """Write `obj` as JSON through a tmp file in the same directory and
-    `os.replace`, so a reader sees the old file or the new one, never a
-    torn one."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, **dump_kwargs)
-    os.replace(tmp, path)
 
 
 class EmbeddingStore:

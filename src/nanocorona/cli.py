@@ -11,12 +11,11 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import model, pipeline
 from .encode import encode_view, predict as predict_records
 from .errors import NanocoronaError
-from .schema import parse_sample_table
+from .schema import parse_sample_table, write_table
 from .splits import classification_view
 
 
@@ -119,12 +118,10 @@ def predict(cfg, checkpoint, data_path):
     params = model.load_checkpoint(checkpoint)
     scores = predict_records(params, records, providers, schema, catalog)
     os.makedirs(cfg["paths"]["out_dir"], exist_ok=True)
-    out_path = pipeline._out(cfg, "predictions.tsv")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("sample_id\tprediction\n")
-        for rec, score in zip(records, np.asarray(scores)):
-            fh.write(f"{rec.sample_id}\t{float(score)!r}\n")
-    click.echo(out_path)
+    click.echo(write_table(pipeline._out(cfg, "predictions.tsv"),
+                           ("sample_id", "prediction"),
+                           ((rec.sample_id, float(score))
+                            for rec, score in zip(records, scores))))
 
 
 if __name__ == "__main__":

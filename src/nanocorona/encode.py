@@ -39,7 +39,7 @@ def _embed_rows(inputs: list[str], index: list[int], embed,
     return matrix
 
 
-def _sequence(catalog: ProteinCatalog, accession: str) -> str:
+def protein_sequence(catalog: ProteinCatalog, accession: str) -> str:
     protein = catalog.lookup(accession)
     if protein is None:
         raise ProviderError(f"accession {accession!r} not in catalog")
@@ -52,7 +52,7 @@ def protein_matrix(records: list[SampleRecord], catalog: ProteinCatalog,
     embedded once."""
     accessions = [rec.protein_accession for rec in records]
     rows = {acc: i for i, acc in enumerate(dict.fromkeys(accessions))}
-    sequences = [_sequence(catalog, acc) for acc in rows]
+    sequences = [protein_sequence(catalog, acc) for acc in rows]
     return _embed_rows(sequences, [rows[acc] for acc in accessions],
                        embed_protein, provider)
 

@@ -3,10 +3,8 @@ synergy/redundancy analysis over a frozen model."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from .cache import write_json_atomic
 from .encode import ProviderBundle, predict
 from .errors import SameFeatureError, ViewMismatchError
 from .metrics import classification_metrics, regression_metrics
@@ -17,7 +15,12 @@ from .model import (
     ModelParams,
     train,
 )
-from .schema import FeatureSchema, ProteinCatalog
+from .schema import (
+    FeatureSchema,
+    ProteinCatalog,
+    write_json_atomic,
+    write_table,
+)
 from .splits import TaskView
 
 DEFAULT_EPSILON = 0.01
@@ -178,15 +181,11 @@ def importance_report(records: list[AblationRecord],
 
 
 def write_importance_report(report: dict, json_path, csv_path) -> None:
+    rows = [("feature", row["feature"], row["delta"], None, None, None)
+            for row in report["features"]]
+    rows += [("interaction", "+".join(row["pair"]), None, row["interaction"],
+              row["magnitude"], row["class"])
+             for row in report["interactions"]]
     write_json_atomic(json_path, report, indent=1, sort_keys=True)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "name", "delta", "interaction", "magnitude",
-                         "class"])
-        for row in report["features"]:
-            writer.writerow(["feature", row["feature"], row["delta"], "", "",
-                             ""])
-        for row in report["interactions"]:
-            writer.writerow(["interaction", "+".join(row["pair"]), "",
-                             row["interaction"], row["magnitude"],
-                             row["class"]])
+    write_table(csv_path, ("kind", "name", "delta", "interaction",
+                           "magnitude", "class"), rows, sep=",")

@@ -24,6 +24,7 @@ from .errors import (
     VersionError,
 )
 from .metrics import classification_metrics, regression_metrics
+from .schema import write_atomic, write_json_atomic
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -532,37 +533,41 @@ def finetune(base: ModelParams, data, config: ModelConfig) -> tuple:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """JSON manifest at `path`, float32 LE payload at `path`.bin."""
+    """JSON manifest at `path`, float32 LE payload at `path`.bin; each is
+    written atomically, the payload first."""
     path = str(path)
     table = []
-    offset = 0
     payload = bytearray()
     for name in sorted(params.blocks):
         arr = np.ascontiguousarray(params.blocks[name], dtype="<f4")
         raw = arr.tobytes()
         table.append({"name": name, "shape": list(arr.shape),
-                      "offset": offset, "length": len(raw)})
+                      "offset": len(payload), "length": len(raw)})
         payload.extend(raw)
-        offset += len(raw)
     manifest = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "config": params.config.to_dict(),
         "freeze_flags": params.freeze_flags,
         "blocks": table,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-    with open(path + ".bin", "wb") as fh:
-        fh.write(bytes(payload))
+    write_atomic(path + ".bin", payload)
+    write_json_atomic(path, manifest, indent=1, sort_keys=True)
 
 
 def load_checkpoint(path) -> ModelParams:
     path = str(path)
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise CorruptError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CorruptError(f"{path}: header is not a JSON object")
     if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise VersionError(
             f"unsupported schema version {manifest.get('schema_version')}")
+    if not {"config", "blocks"} <= manifest.keys():
+        raise CorruptError(f"{path}: header lacks config or blocks")
     stored = manifest["config"]
     known = {f.name for f in fields(ModelConfig)}
     unknown, missing = sorted(set(stored) - known), sorted(known - set(stored))
@@ -595,6 +600,8 @@ def load_checkpoint(path) -> ModelParams:
     missing = set(expected) - set(blocks)
     if missing:
         raise CorruptError(f"missing blocks: {sorted(missing)}")
+    if len(payload) != sum(entry["length"] for entry in manifest["blocks"]):
+        raise CorruptError(f"{path}.bin: payload size does not match header")
     if config.dtype != "float32":
         blocks = {k: v.astype(config.np_dtype) for k, v in blocks.items()}
     return ModelParams(config=config, blocks=blocks,

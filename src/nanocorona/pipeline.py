@@ -9,14 +9,20 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import curation, model, splits
 from .boxcox import BoxCoxTransform, fit_boxcox
-from .cache import CachedProvider, EmbeddingStore, write_json_atomic
-from .encode import ProviderBundle, distinct_prompts, encode_view, predict
+from .cache import CachedProvider, EmbeddingStore
+from .encode import (
+    ProviderBundle,
+    distinct_prompts,
+    encode_view,
+    predict,
+    protein_sequence,
+)
 from .errors import NoDataError, StageError
 from .importance import (
     ablate_feature,
@@ -39,7 +45,9 @@ from .schema import (
     load_protein_catalog,
     parse_sample_table,
     validate_corpus,
+    write_json_atomic,
     write_sample_table,
+    write_table,
 )
 
 DEFAULT_CONFIG = {
@@ -84,10 +92,33 @@ def _deep_update(base: dict, override) -> dict:
     return out
 
 
+def _check_values(config: dict) -> dict:
+    """config, once its model section builds a ModelConfig and its ablation
+    names only schema features, each pair two different ablated ones;
+    otherwise ValueError names the section."""
+    try:
+        model.ModelConfig(**config["model"])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"model: {exc}") from None
+    feature_ids = default_schema().feature_ids
+    features, pairs = (config["ablation"][k] for k in ("features", "pairs"))
+    if not isinstance(features, list) or any(f not in feature_ids
+                                             for f in features):
+        raise ValueError(f"ablation.features: {features!r} is not a list "
+                         "of schema features")
+    ablated = features or feature_ids
+    for pair in pairs if isinstance(pairs, list) else [pairs]:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and pair[0] != pair[1] and all(f in ablated for f in pair)):
+            raise ValueError(f"ablation.pairs: {pair!r} is not two different "
+                             "ablated features")
+    return config
+
+
 def load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         user = json.load(fh)
-    return _deep_update(DEFAULT_CONFIG, user)
+    return _check_values(_deep_update(DEFAULT_CONFIG, user))
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
@@ -105,7 +136,7 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
         for part in reversed(key.split(".")):
             value = {part: value}
         config.update(_deep_update(config, value))
-    return config
+    return _check_values(config)
 
 
 def digest_bytes(data: bytes) -> str:
@@ -213,7 +244,9 @@ def make_filled_variants(records, schema):
 
 def stage_curate(config: dict) -> list[str]:
     """Align (when a table is configured), zero fill each study, then the
-    corpus, and add an imputed variant of each record missing a feature."""
+    corpus, and add an imputed variant of each record missing a feature.
+    curated.tsv holds the records validation passes; validation.json lists
+    every issue."""
     paths = config["paths"]
     schema = default_schema()
     records = parse_sample_table(paths["corpus"], schema)
@@ -230,8 +263,10 @@ def stage_curate(config: dict) -> list[str]:
     curated = curation.global_fill(curated)
     curated = curated + make_filled_variants(curated, schema)
     report = validate_corpus(curated, catalog)
+    flagged = {issue.sample_id for issue in report.issues}
     curated_path = _out(config, "curated.tsv")
-    write_sample_table(curated, curated_path, schema)
+    write_sample_table([r for r in curated if r.sample_id not in flagged],
+                       curated_path, schema)
     validation_path = _out(config, "validation.json")
     write_json_atomic(validation_path,
                       {"total": report.total, "valid": report.valid,
@@ -305,8 +340,8 @@ def stage_embed(config: dict) -> list[str]:
     """Pre-encode every unique sequence and prompt into the cache."""
     schema, catalog, providers = load_encoding(config)
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
-    proteins = (catalog.lookup(r.protein_accession) for r in records)
-    sequences = sorted({p.sequence for p in proteins if p is not None})
+    sequences = sorted({protein_sequence(catalog, r.protein_accession)
+                        for r in records})
     prompts = sorted(distinct_prompts(records, schema)[0])
     for seq in sequences:
         providers.protein.embed(seq)
@@ -344,12 +379,7 @@ def stage_train(config: dict) -> list[str]:
         ckpt = _out(config, f"model_{task}.ckpt")
         model.save_checkpoint(params, ckpt)
         hist_path = _out(config, f"history_{task}.json")
-        write_json_atomic(hist_path,
-                          {"train_loss": history.train_loss,
-                           "val_metric": history.val_metric,
-                           "best_epoch": history.best_epoch,
-                           "stopped_early": history.stopped_early},
-                          indent=1)
+        write_json_atomic(hist_path, asdict(history), indent=1)
         outputs.extend([ckpt, ckpt + ".bin", hist_path])
     return outputs
 
@@ -384,12 +414,14 @@ def stage_eval(config: dict) -> list[str]:
                    for key, metrics in sorted(results.items())
                    for name, value in sorted(metrics.items())]
     outputs = [metrics_path,
-               write_csv(_out(config, "fig_metrics.csv"),
-                         ("task", "split", "metric", "value"), metric_rows)]
+               write_table(_out(config, "fig_metrics.csv"),
+                           ("task", "split", "metric", "value"), metric_rows,
+                           sep=",")]
     if rpa_bin_rows is not None:
-        outputs.append(write_csv(
+        outputs.append(write_table(
             _out(config, "fig_rpa_bins.csv"), RPA_BIN_COLUMNS,
-            [[row[c] for c in RPA_BIN_COLUMNS] for row in rpa_bin_rows]))
+            [[row[c] for c in RPA_BIN_COLUMNS] for row in rpa_bin_rows],
+            sep=","))
     return outputs
 
 
@@ -446,15 +478,6 @@ def rpa_bin_table(scores, labels, rpas, n_bins: int = 5) -> list[dict]:
             "probability_std": float(np.std(scores[mask])),
         })
     return rows
-
-
-def write_csv(path: str, header, rows) -> str:
-    """Write a figure CSV: the header, then one line per row; each value is
-    written as str() of it, None as an empty field."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in (header, *rows):
-            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
-    return path
 
 
 # what each stage reads: a key of config["paths"], or a file in the out

@@ -7,6 +7,9 @@ provenance) live outside the experimental feature schema.
 
 from __future__ import annotations
 
+import itertools
+import json
+import os
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -325,25 +328,38 @@ def parse_sample_table(path, schema: FeatureSchema) -> list[SampleRecord]:
     return records
 
 
+def write_atomic(path, data) -> None:
+    """Write `data` (str as UTF-8, or bytes) to `path`.tmp and `os.replace`
+    it onto `path`: a reader sees the old file or the new, never a torn one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+    os.replace(tmp, path)
+
+
+def write_json_atomic(path, obj, **dump_kwargs) -> None:
+    """write_atomic of the bytes json.dump(obj, **dump_kwargs) writes."""
+    write_atomic(path, json.dumps(obj, **dump_kwargs))
+
+
+def write_table(path, header, rows, sep: str = "\t"):
+    """write_atomic of the header, then each row, a line each: a value as
+    str() of it, None as empty.  Every row is formatted first; returns path."""
+    lines = [sep.join(["" if v is None else str(v) for v in row]) + "\n"
+             for row in itertools.chain([header], rows)]
+    write_atomic(path, "".join(lines))
+    return path
+
+
 def write_sample_table(records: list[SampleRecord], path, schema: FeatureSchema) -> None:
     """Write records to TSV in schema order; inverse of parse_sample_table."""
-    header = list(BOOKKEEPING_COLUMNS) + list(schema.feature_ids)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for rec in records:
-            cells = [
-                rec.sample_id,
-                rec.study_id,
-                rec.group_id,
-                rec.origin_id,
-                rec.protein_accession,
-                "" if rec.rpa is None else repr(rec.rpa),
-                ";".join(sorted(rec.fill_flags)),
-                "1" if rec.is_filled_variant else "0",
-            ]
-            for fid in schema.feature_ids:
-                cells.append(rec.features.get(fid, UNKNOWN).to_cell())
-            fh.write("\t".join(cells) + "\n")
+    feature_ids = schema.feature_ids
+    write_table(path, BOOKKEEPING_COLUMNS + feature_ids, (
+        [rec.sample_id, rec.study_id, rec.group_id, rec.origin_id,
+         rec.protein_accession, rec.rpa, ";".join(sorted(rec.fill_flags)),
+         "1" if rec.is_filled_variant else "0",
+         *[rec.features.get(fid, UNKNOWN).to_cell() for fid in feature_ids]]
+        for rec in records))
 
 
 def load_protein_catalog(path) -> ProteinCatalog:
@@ -366,12 +382,9 @@ def load_protein_catalog(path) -> ProteinCatalog:
 
 
 def write_protein_catalog(catalog: ProteinCatalog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("accession\tsequence\tmolecular_weight_kda\n")
-        for acc in catalog.accessions():
-            rec = catalog.lookup(acc)
-            mw = "" if rec.molecular_weight is None else repr(rec.molecular_weight)
-            fh.write(f"{rec.accession}\t{rec.sequence}\t{mw}\n")
+    write_table(path, ("accession", "sequence", "molecular_weight_kda"),
+                ((rec.accession, rec.sequence, rec.molecular_weight)
+                 for rec in map(catalog.lookup, catalog.accessions())))
 
 
 def validate_corpus(records: list[SampleRecord], catalog: ProteinCatalog) -> ValidationReport:

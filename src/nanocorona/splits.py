@@ -11,7 +11,7 @@ import numpy as np
 from .boxcox import BoxCoxTransform, boxcox_apply
 from .curation import AFFINITY_THRESHOLD, binarize
 from .errors import BadNumberError, EmptyCorpusError
-from .schema import SampleRecord, read_tsv
+from .schema import SampleRecord, read_tsv, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -111,11 +111,9 @@ def assign_splits(corpus: list[SampleRecord], seed: int,
 
 
 def write_split_manifest(assignment: SplitAssignment, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("origin_id\tsplit\tbin\n")
-        for origin in sorted(assignment.assignment):
-            fh.write(f"{origin}\t{assignment.assignment[origin]}"
-                     f"\t{assignment.bins.get(origin, ZERO_BIN)}\n")
+    write_table(path, ("origin_id", "split", "bin"),
+                ((origin, split, assignment.bins.get(origin, ZERO_BIN))
+                 for origin, split in sorted(assignment.assignment.items())))
 
 
 def read_split_manifest(path) -> SplitAssignment:

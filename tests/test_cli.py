@@ -3,6 +3,7 @@ end-to-end determinism, and process exit codes."""
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import shutil
@@ -17,6 +18,8 @@ from nanocorona.cli import main
 from nanocorona.errors import StageError
 from nanocorona.schema import (
     UNKNOWN,
+    ProteinCatalog,
+    load_protein_catalog,
     parse_sample_table,
     write_protein_catalog,
     write_sample_table,
@@ -64,8 +67,7 @@ class TestConfig:
         assert config["model"]["d_shared"] == 1024
 
     def test_apply_overrides_dot_paths_and_json_values(self):
-        config = {"split": {"seed": 1}, "provider": {"kind": "synthetic"},
-                  "ablation": {"pairs": []}}
+        config = copy.deepcopy(pipeline.DEFAULT_CONFIG)
         pipeline.apply_overrides(config, ["split.seed=5",
                                           "provider.kind=remote",
                                           'ablation.pairs=[["core","shape"]]'])
@@ -183,6 +185,28 @@ class TestEndToEnd:
             d2 = pipeline.digest_file(os.path.join(
                 config2["paths"]["out_dir"], name))
             assert d1 == d2, name
+
+    def test_curated_table_holds_only_valid_records(self, tmp_path, schema):
+        _, config = make_workspace(tmp_path, schema)
+        catalog_path = config["paths"]["catalog"]
+        catalog = load_protein_catalog(catalog_path)
+        dropped = catalog.accessions()[0]
+        kept = ProteinCatalog()
+        for acc in catalog.accessions()[1:]:
+            kept.add(catalog.lookup(acc))
+        write_protein_catalog(kept, catalog_path)
+        manifest = pipeline.RunManifest(config, config["paths"]["out_dir"])
+        for name in ("curate", "split", "embed", "train"):
+            pipeline.run_stage(name, config, manifest)
+        out = config["paths"]["out_dir"]
+        curated = parse_sample_table(os.path.join(out, "curated.tsv"), schema)
+        with open(os.path.join(out, "validation.json")) as fh:
+            validation = json.load(fh)
+        flagged = {sample_id for sample_id, code, _ in validation["issues"]
+                   if code == "MISSING_PROTEIN"}
+        assert flagged and len(curated) == validation["valid"]
+        assert all(rec.protein_accession != dropped for rec in curated)
+        assert not any(name.endswith(".tmp") for name in os.listdir(out))
 
     def test_stage_failure_names_stage(self, tmp_path, schema):
         _, config = make_workspace(tmp_path, schema)
@@ -373,6 +397,31 @@ class TestCli:
     ])
     def test_unknown_config_key_is_a_usage_error(self, tmp_path, user,
                                                  override, path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(user))
+        args = ["curate", "--config", str(config_path)]
+        result = self._invoke(args + ["--set", override] if override
+                              else args)
+        assert result.exit_code == 2, result.output
+        assert f"bad config or --set: {path}: " in result.output
+
+    @pytest.mark.parametrize("user, override, path", [
+        ({"model": {"tokens": 7}}, None, "model"),
+        ({"model": {"tokens": 0}}, None, "model"),
+        ({"model": {"d_shared": "wide"}}, None, "model"),
+        ({}, "model.heads=3", "model"),
+        ({"ablation": {"features": ["core", "colour"]}}, None,
+         "ablation.features"),
+        ({"ablation": {"features": ["core"], "pairs": [["core", "shape"]]}},
+         None, "ablation.pairs"),
+        ({"ablation": {"pairs": [["core", "core"]]}}, None, "ablation.pairs"),
+        ({"ablation": {"pairs": [["core"]]}}, None, "ablation.pairs"),
+        ({}, "ablation.pairs=core", "ablation.pairs"),
+        # a file value is checked before any --set could mend it
+        ({"model": {"tokens": 7}}, "model.tokens=8", "model"),
+    ])
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, user,
+                                               override, path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(user))
         args = ["curate", "--config", str(config_path)]

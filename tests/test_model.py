@@ -564,6 +564,25 @@ class TestCheckpoint:
         with pytest.raises(VersionError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", ["torn", "array", "config", "blocks"])
+    def test_unreadable_header_names_the_path(self, tmp_path, edit):
+        import json
+        import re
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._params(), path)
+        text = path.read_text()
+        if edit == "torn":
+            text = text[:len(text) // 2]
+        elif edit == "array":
+            text = "[]"
+        else:
+            manifest = json.loads(text)
+            del manifest[edit]
+            text = json.dumps(manifest)
+        path.write_text(text)
+        with pytest.raises(CorruptError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
     def test_truncated_payload(self, tmp_path):
         params = self._params()
         path = tmp_path / "m.ckpt"
