@@ -33,9 +33,10 @@ _SHARED_OPTIONS = (
 
 
 def _command(fn):
-    """Give `fn` the shared options and call it with the loaded config; a bad
-    config or --set exits 2, a package error is reported and exits 1.  The
-    flags are overrides applied after the --set items."""
+    """Give `fn` the shared options and call it with the loaded config, once
+    its out dir exists; a bad config or --set exits 2, a package error is
+    reported and exits 1.  The flags are overrides applied after the --set
+    items."""
     @functools.wraps(fn)
     def command(config, sets, out, seed, provider, endpoint, **kwargs):
         flags = [("paths.out_dir", out), ("split.seed", seed),
@@ -49,6 +50,7 @@ def _command(fn):
                                            overrides)
         except ValueError as exc:
             raise click.UsageError(f"bad config or --set: {exc}") from None
+        os.makedirs(cfg["paths"]["out_dir"], exist_ok=True)
         try:
             fn(cfg, **kwargs)
         except NanocoronaError as exc:
@@ -117,7 +119,6 @@ def predict(cfg, checkpoint, data_path):
     records = parse_sample_table(data_path, schema)
     params = model.load_checkpoint(checkpoint)
     scores = predict_records(params, records, providers, schema, catalog)
-    os.makedirs(cfg["paths"]["out_dir"], exist_ok=True)
     click.echo(write_table(pipeline._out(cfg, "predictions.tsv"),
                            ("sample_id", "prediction"),
                            ((rec.sample_id, float(score))

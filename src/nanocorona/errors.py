@@ -16,6 +16,10 @@ class NanocoronaError(Exception):
         return f"{self.code}: {self.message}"
 
 
+class EncodingError(NanocoronaError):
+    code = "E_ENCODING"
+
+
 class RowShapeError(NanocoronaError):
     code = "E_ROW_SHAPE"
 

@@ -3,7 +3,7 @@ synergy/redundancy analysis over a frozen model."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .encode import ProviderBundle, predict
 from .errors import SameFeatureError, ViewMismatchError
@@ -78,8 +78,7 @@ def train_single_modality(train_data, val_data, modality: str,
     """
     if modality not in (MODALITY_PROTEIN_ONLY, MODALITY_TEXT_ONLY):
         raise ValueError(f"bad modality {modality!r}")
-    cfg = ModelConfig(**{**config.to_dict(), "modality": modality})
-    return train(train_data, val_data, cfg)
+    return train(train_data, val_data, replace(config, modality=modality))
 
 
 def ablate_feature(params: ModelParams, eval_view: TaskView, feature: str,

@@ -26,7 +26,7 @@ from .errors import (
 from .metrics import classification_metrics, regression_metrics
 from .schema import write_atomic, write_json_atomic
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 MODALITY_FUSED = "fused"
 MODALITY_PROTEIN_ONLY = "protein_only"
@@ -50,17 +50,25 @@ class ModelConfig:
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
-    w_pos_policy: str = "twice_neg_over_pos"
     dtype: str = "float32"
 
     def __post_init__(self):
         self.mlp_hidden = tuple(self.mlp_hidden)
+        if self.task not in ("classification", "regression"):
+            raise ValueError(f"unknown task {self.task!r}")
+        if self.modality not in (MODALITY_FUSED, MODALITY_PROTEIN_ONLY,
+                                 MODALITY_TEXT_ONLY):
+            raise ValueError(f"unknown modality {self.modality!r}")
+        if self.tokens < 1 or self.heads < 1:
+            raise ValueError("tokens and heads must be >= 1")
         if self.d_shared % self.tokens:
             raise ValueError("tokens must divide d_shared")
         if self.token_dim % self.heads:
             raise ValueError("heads must divide token_dim")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError("dtype must be float32 or float64")
 
     @property
     def token_dim(self) -> int:
@@ -80,13 +88,6 @@ class ModelConfig:
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def _block_specs(config: ModelConfig) -> list[tuple[str, tuple]]:
@@ -141,9 +142,9 @@ class ModelParams:
             freeze_flags=dict(self.freeze_flags))
 
 
-def init_params(config: ModelConfig, seed: int | None = None) -> ModelParams:
+def init_params(config: ModelConfig) -> ModelParams:
     """Fan-in-scaled zero-mean weights, zero biases, unit layer-norm gains."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     dtype = config.np_dtype
     blocks = {}
     for name, shape in _block_specs(config):
@@ -456,12 +457,9 @@ def train(data_train, data_val, config: ModelConfig,
         raise ValueError("train and val data must be nonempty")
     params = base_params.copy() if base_params is not None \
         else init_params(config)
-    w_pos = 1.0
-    if config.task == "classification":
-        n_pos = int(np.sum(labels == 1))
-        n_neg = int(np.sum(labels == 0))
-        if config.w_pos_policy == "twice_neg_over_pos" and n_pos > 0:
-            w_pos = compute_pos_weight(n_neg, n_pos)
+    n_pos = int(np.sum(labels == 1))
+    w_pos = compute_pos_weight(int(np.sum(labels == 0)), n_pos) \
+        if config.task == "classification" and n_pos else 1.0
     optimizer = AdamOptimizer(params, lr=config.learning_rate)
     history = TrainHistory()
     best = -np.inf
@@ -533,78 +531,61 @@ def finetune(base: ModelParams, data, config: ModelConfig) -> tuple:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """JSON manifest at `path`, float32 LE payload at `path`.bin; each is
-    written atomically, the payload first."""
+    """JSON header at `path` (schema version, config, freeze flags); at
+    `path`.bin the blocks of `_block_specs` in name order, float32 LE and
+    back to back.  Each file is written atomically, the payload first."""
     path = str(path)
-    table = []
-    payload = bytearray()
-    for name in sorted(params.blocks):
-        arr = np.ascontiguousarray(params.blocks[name], dtype="<f4")
-        raw = arr.tobytes()
-        table.append({"name": name, "shape": list(arr.shape),
-                      "offset": len(payload), "length": len(raw)})
-        payload.extend(raw)
-    manifest = {
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config": params.config.to_dict(),
-        "freeze_flags": params.freeze_flags,
-        "blocks": table,
-    }
+    payload = np.concatenate(
+        [params.blocks[name].ravel()
+         for name, _ in sorted(_block_specs(params.config))], dtype="<f4")
     write_atomic(path + ".bin", payload)
-    write_json_atomic(path, manifest, indent=1, sort_keys=True)
+    write_json_atomic(path, {"schema_version": CHECKPOINT_SCHEMA_VERSION,
+                             "config": asdict(params.config),
+                             "freeze_flags": params.freeze_flags},
+                      indent=1, sort_keys=True)
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The model `save_checkpoint` wrote at `path`.  A header that does not
+    describe a valid model, or a payload of any other size than its blocks,
+    raises E_CORRUPT; another schema version raises E_VERSION."""
     path = str(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            header = json.load(fh)
     except ValueError as exc:
         raise CorruptError(f"{path}: unreadable header: {exc}") from None
-    if not isinstance(manifest, dict):
+    if not isinstance(header, dict):
         raise CorruptError(f"{path}: header is not a JSON object")
-    if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
+    if header.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise VersionError(
-            f"unsupported schema version {manifest.get('schema_version')}")
-    if not {"config", "blocks"} <= manifest.keys():
-        raise CorruptError(f"{path}: header lacks config or blocks")
-    stored = manifest["config"]
+            f"unsupported schema version {header.get('schema_version')}")
+    stored, flags = header.get("config"), header.get("freeze_flags")
+    if not isinstance(stored, dict):
+        raise CorruptError(f"{path}: config is not a JSON object")
     known = {f.name for f in fields(ModelConfig)}
     unknown, missing = sorted(set(stored) - known), sorted(known - set(stored))
     if unknown or missing:
-        raise CorruptError(f"checkpoint config: unknown keys {unknown}, "
+        raise CorruptError(f"{path}: config has unknown keys {unknown}, "
                            f"missing keys {missing}")
+    if not (isinstance(flags, dict) and flags.keys() == set(FREEZE_GROUPS)
+            and all(isinstance(v, bool) for v in flags.values())):
+        raise CorruptError(f"{path}: freeze_flags must map each of "
+                           f"{list(FREEZE_GROUPS)} to a bool")
     try:
-        config = ModelConfig.from_dict(stored)
-    except ValueError as exc:
-        raise CorruptError(f"checkpoint config: {exc}") from exc
+        config = ModelConfig(**stored)
+    except (TypeError, ValueError) as exc:
+        raise CorruptError(f"{path}: config: {exc}") from None
     with open(path + ".bin", "rb") as fh:
         payload = fh.read()
-    blocks = {}
-    expected = {name: shape for name, shape in _block_specs(config)}
-    for entry in manifest["blocks"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in expected:
-            raise CorruptError(f"unexpected block {name!r}")
-        if shape != expected[name]:
-            raise CorruptError(
-                f"block {name!r}: manifest shape {shape} != expected "
-                f"{expected[name]}")
-        length = int(np.prod(shape)) * 4
-        if entry["length"] != length:
-            raise CorruptError(f"block {name!r}: bad byte length")
-        raw = payload[entry["offset"]:entry["offset"] + length]
-        if len(raw) != length:
-            raise CorruptError(f"block {name!r}: truncated payload")
-        blocks[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    missing = set(expected) - set(blocks)
-    if missing:
-        raise CorruptError(f"missing blocks: {sorted(missing)}")
-    if len(payload) != sum(entry["length"] for entry in manifest["blocks"]):
-        raise CorruptError(f"{path}.bin: payload size does not match header")
-    if config.dtype != "float32":
-        blocks = {k: v.astype(config.np_dtype) for k, v in blocks.items()}
-    return ModelParams(config=config, blocks=blocks,
-                       freeze_flags=dict(manifest.get(
-                           "freeze_flags",
-                           {g: False for g in FREEZE_GROUPS})))
+    size = 4 * parameter_count(config)
+    if len(payload) != size:
+        raise CorruptError(f"{path}.bin: {len(payload)} bytes, not the "
+                           f"{size} its config's blocks take")
+    blocks, offset = {}, 0
+    for name, shape in sorted(_block_specs(config)):
+        count = math.prod(shape)
+        blocks[name] = np.frombuffer(payload, "<f4", count, offset) \
+            .reshape(shape).astype(config.np_dtype)
+        offset += 4 * count
+    return ModelParams(config=config, blocks=blocks, freeze_flags=flags)

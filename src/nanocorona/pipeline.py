@@ -98,7 +98,7 @@ def _check_values(config: dict) -> dict:
     otherwise ValueError names the section."""
     try:
         model.ModelConfig(**config["model"])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"model: {exc}") from None
     feature_ids = default_schema().feature_ids
     features, pairs = (config["ablation"][k] for k in ("features", "pairs"))

@@ -16,6 +16,7 @@ from .errors import (
     BadNumberError,
     BadSequenceError,
     DuplicateAccessionError,
+    EncodingError,
     RowShapeError,
     UnknownColumnError,
 )
@@ -268,10 +269,17 @@ def _parse_cell(cell: str, fdef: FeatureDef, line_no: int) -> FeatureValue:
 def read_tsv(path, required: tuple[str, ...] = ()):
     """(header, rows) of a TSV file, rows yielding (line number, {column:
     cell}) one at a time; an empty file has no header and no rows.  The
-    only check of a table's required columns and of each row's cell count.
+    only check of a table's encoding, of its required columns and of each
+    row's cell count.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise EncodingError(f"{path}: line {line}: byte "
+                            f"0x{raw[exc.start]:02x} is not UTF-8") from None
     if not lines:
         return [], iter(())
     header = lines[0].split("\t")
@@ -329,8 +337,8 @@ def parse_sample_table(path, schema: FeatureSchema) -> list[SampleRecord]:
 
 
 def write_atomic(path, data) -> None:
-    """Write `data` (str as UTF-8, or bytes) to `path`.tmp and `os.replace`
-    it onto `path`: a reader sees the old file or the new, never a torn one."""
+    """Write `data` (str as UTF-8, or bytes-like) to `path`.tmp, then
+    `os.replace` it onto `path`: a reader sees the old file or the new."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(data.encode("utf-8") if isinstance(data, str) else data)

@@ -419,6 +419,8 @@ class TestCli:
         ({}, "ablation.pairs=core", "ablation.pairs"),
         # a file value is checked before any --set could mend it
         ({"model": {"tokens": 7}}, "model.tokens=8", "model"),
+        ({"model": {"heads": 0}}, None, "model"),
+        ({"model": {"modality": "both"}}, None, "model"),
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, user,
                                                override, path):
@@ -433,6 +435,7 @@ class TestCli:
     def test_flags_override_config_and_set(self, tmp_path, schema,
                                            monkeypatch):
         config_path, _ = make_workspace(tmp_path, schema)
+        monkeypatch.chdir(tmp_path)  # the command makes the relative --out
         seen = []
         monkeypatch.setattr(pipeline, "run_stage",
                             lambda name, cfg, manifest: seen.append(cfg) or [])
@@ -511,3 +514,36 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert open(os.path.join(out, "predictions.tsv")).read() == \
             "sample_id\tprediction\n"
+
+    def test_finetune_and_predict_make_a_new_out_dir(self, trained, tmp_path):
+        config = copy_run(trained, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        ckpt = os.path.join(config["paths"]["out_dir"],
+                            "model_classification.ckpt")
+        for command, written in (("finetune", "model_finetuned.ckpt"),
+                                 ("predict", "predictions.tsv")):
+            out = tmp_path / command / "nested"
+            result = self._invoke([command, "--config", str(config_path),
+                                   "--checkpoint", ckpt,
+                                   "--data", config["paths"]["corpus"],
+                                   "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert (out / written).exists()
+
+    def test_predict_names_a_non_utf8_byte(self, trained, tmp_path):
+        config = copy_run(trained, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = config["paths"]["out_dir"]
+        data = tmp_path / "bad.tsv"
+        text = open(os.path.join(out, "curated.tsv"), "rb").read()
+        data.write_bytes(text.replace(b"\n", b"\n\xff", 1))
+        result = self._invoke(["predict", "--config", str(config_path),
+                               "--checkpoint",
+                               os.path.join(out, "model_classification.ckpt"),
+                               "--data", str(data)])
+        assert result.exit_code == 1
+        assert f"E_ENCODING: {data}: line 2: byte 0xff is not UTF-8" \
+            in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback

@@ -72,3 +72,46 @@ def test_third_party_imports_are_the_declared_dependencies():
     declared = {re.match(r"[A-Za-z0-9._-]+", dep).group().lower()
                 for dep in project["dependencies"]}
     assert third_party == declared
+
+
+def opens_for_writing(source: str) -> list[str]:
+    """Qualified name of the function around each `open()` call in `source`
+    whose mode writes, appends, creates or updates; a mode that is not a
+    string literal counts as writing."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) \
+                    and isinstance(child.func, ast.Name) \
+                    and child.func.id == "open":
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (kw.value for kw in child.keywords if kw.arg == "mode"),
+                    ast.Constant("r"))
+                if not isinstance(mode, ast.Constant) \
+                        or set(str(mode.value)) & set("wax+"):
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_write_detector_names_the_enclosing_function():
+    source = ("def read(p):\n    return open(p).read()\n"
+              "class Log:\n    def put(self, p, m):\n"
+              "        open(p, 'ab').close()\n        open(p, mode=m)\n"
+              "def save(p):\n    with open(p, 'r+b'):\n        pass\n")
+    assert opens_for_writing(source) == ["Log.put", "Log.put", "save"]
+
+
+def test_files_are_written_only_through_the_one_writer():
+    # every file but the embedding store's append-only log reaches disk
+    # through schema.write_atomic, whole or not at all
+    writers = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
+               for name in opens_for_writing(path.read_text(encoding="utf-8"))}
+    assert writers == {"schema.write_atomic", "cache.EmbeddingStore.put"}

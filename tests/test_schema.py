@@ -9,6 +9,7 @@ from nanocorona.errors import (
     BadNumberError,
     BadSequenceError,
     DuplicateAccessionError,
+    EncodingError,
     RowShapeError,
     UnknownColumnError,
 )
@@ -164,6 +165,16 @@ class TestTableReaders:
         path = tmp_path / "t.tsv"
         _write_table(path, header, [row, row[:-1]])
         with pytest.raises(RowShapeError, match="line 3"):
+            reader(path)
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path, name):
+        reader, header, row = TABLE_READERS[name]
+        path = tmp_path / "t.tsv"
+        _write_table(path, header, [row, row])
+        data = path.read_bytes()
+        cut = data.rindex(b"\t") + 1  # into the last cell of line 3
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        with pytest.raises(EncodingError, match=f"{path}: line 3: byte 0xff"):
             reader(path)
 
 
