@@ -19,6 +19,7 @@ from .autodiff import Tensor, concat, layer_norm
 from .errors import (
     CorruptError,
     DimensionError,
+    EmptyInputError,
     NonFiniteError,
     NoPositivesError,
     VersionError,
@@ -31,8 +32,6 @@ CHECKPOINT_SCHEMA_VERSION = 2
 MODALITY_FUSED = "fused"
 MODALITY_PROTEIN_ONLY = "protein_only"
 MODALITY_TEXT_ONLY = "text_only"
-
-FREEZE_GROUPS = ("projection", "fusion", "head")
 
 
 @dataclass
@@ -114,32 +113,18 @@ def _block_specs(config: ModelConfig) -> list[tuple[str, tuple]]:
     return specs
 
 
-def freeze_group_of(block_name: str) -> str:
-    if block_name.startswith("proj_"):
-        return "projection"
-    if block_name.startswith("attn_"):
-        return "fusion"
-    return "head"
-
-
 @dataclass
 class ModelParams:
     config: ModelConfig
     blocks: dict  # name -> np.ndarray
-    freeze_flags: dict = field(
-        default_factory=lambda: {g: False for g in FREEZE_GROUPS})
 
     def count(self) -> int:
         return sum(arr.size for arr in self.blocks.values())
 
-    def is_frozen(self, block_name: str) -> bool:
-        return self.freeze_flags.get(freeze_group_of(block_name), False)
-
     def copy(self) -> "ModelParams":
         return ModelParams(
             config=copy.deepcopy(self.config),
-            blocks={k: v.copy() for k, v in self.blocks.items()},
-            freeze_flags=dict(self.freeze_flags))
+            blocks={k: v.copy() for k, v in self.blocks.items()})
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -235,15 +220,13 @@ def _head(fused: Tensor, blocks: dict, config: ModelConfig) -> Tensor:
 
 
 def _as_tensors(params: ModelParams, trainable: bool) -> dict:
-    """Lift every block; frozen blocks never require a gradient."""
-    return {name: Tensor(arr, requires_grad=trainable
-                         and not params.is_frozen(name))
+    return {name: Tensor(arr, requires_grad=trainable)
             for name, arr in params.blocks.items()}
 
 
-def forward_graph(params: ModelParams, protein: np.ndarray | None,
-                  text: np.ndarray | None, blocks: dict) -> Tensor:
-    """Build the forward graph on pre-lifted parameter tensors."""
+def _fuse(params: ModelParams, protein: np.ndarray | None,
+          text: np.ndarray | None, blocks: dict) -> Tensor:
+    """The head's input: each modality projected, then attended."""
     config = params.config
     if config.modality in (MODALITY_FUSED, MODALITY_PROTEIN_ONLY):
         if protein is None:
@@ -262,17 +245,23 @@ def forward_graph(params: ModelParams, protein: np.ndarray | None,
     if config.modality == MODALITY_FUSED:
         p_attends_x = cross_attention(p_tok, x_tok, blocks, "attn_p2t", config)
         x_attends_p = cross_attention(x_tok, p_tok, blocks, "attn_t2p", config)
-        fused = concat([p_attends_x.reshape(b, config.d_shared),
-                        x_attends_p.reshape(b, config.d_shared)], axis=-1)
-    else:
-        tok = p_tok if config.modality == MODALITY_PROTEIN_ONLY else x_tok
-        attended = cross_attention(tok, tok, blocks, "attn_self", config)
-        fused = attended.reshape(b, config.d_shared)
+        return concat([p_attends_x.reshape(b, config.d_shared),
+                       x_attends_p.reshape(b, config.d_shared)], axis=-1)
+    tok = p_tok if config.modality == MODALITY_PROTEIN_ONLY else x_tok
+    attended = cross_attention(tok, tok, blocks, "attn_self", config)
+    return attended.reshape(b, config.d_shared)
 
+
+def _predict(fused: Tensor, blocks: dict, config: ModelConfig) -> Tensor:
     out = _head(fused, blocks, config)
-    if config.task == "classification":
-        out = out.sigmoid()
-    return out
+    return out.sigmoid() if config.task == "classification" else out
+
+
+def forward_graph(params: ModelParams, protein: np.ndarray | None,
+                  text: np.ndarray | None, blocks: dict) -> Tensor:
+    """Build the forward graph on pre-lifted parameter tensors."""
+    return _predict(_fuse(params, protein, text, blocks), blocks,
+                    params.config)
 
 
 def forward(params: ModelParams, protein: np.ndarray | None,
@@ -320,15 +309,9 @@ def mse_loss(predictions: Tensor | np.ndarray, targets: np.ndarray):
     return loss if is_tensor else float(loss.data)
 
 
-def compute_gradients(params: ModelParams, protein: np.ndarray | None,
-                      text: np.ndarray | None, labels: np.ndarray,
-                      w_pos: float = 1.0):
-    """Loss value and per-block gradients; frozen blocks get zero slots.
-
-    Frozen blocks enter the graph as constants, so backward stops at them.
-    """
-    blocks = _as_tensors(params, trainable=True)
-    out = forward_graph(params, protein, text, blocks)
+def _backprop(params: ModelParams, blocks: dict, out: Tensor,
+              labels: np.ndarray, w_pos: float):
+    """Loss of `out`, computed from `blocks`, and each block's gradient."""
     if params.config.task == "classification":
         loss = weighted_bce(out, labels, w_pos)
     else:
@@ -336,14 +319,18 @@ def compute_gradients(params: ModelParams, protein: np.ndarray | None,
     if not np.isfinite(loss.data):
         raise NonFiniteError("non-finite loss")
     loss.backward()
-    grads = {}
-    for name, tensor in blocks.items():
-        if tensor.grad is None:
-            grads[name] = np.zeros_like(params.blocks[name])
-        else:
-            grads[name] = tensor.grad.astype(params.blocks[name].dtype,
-                                             copy=False)
-    return float(loss.data), grads
+    return float(loss.data), {
+        name: tensor.grad.astype(params.blocks[name].dtype, copy=False)
+        for name, tensor in blocks.items()}
+
+
+def compute_gradients(params: ModelParams, protein: np.ndarray | None,
+                      text: np.ndarray | None, labels: np.ndarray,
+                      w_pos: float = 1.0):
+    """Loss value and per-block gradients."""
+    blocks = _as_tensors(params, trainable=True)
+    out = forward_graph(params, protein, text, blocks)
+    return _backprop(params, blocks, out, labels, w_pos)
 
 
 class AdamOptimizer:
@@ -353,7 +340,7 @@ class AdamOptimizer:
     slab of rows at a time.  Both bias corrections are folded into the step
     size and epsilon (their section 2), which is algebraically the same
     update as their Algorithm 1.  Moments, slab rows and scratch exist only
-    for the blocks that are trainable when the optimizer is built.
+    for the blocks of the params the optimizer is built with.
     """
 
     SLAB = 1 << 16  # elements per slab, so an update's operands stay cached
@@ -365,14 +352,12 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        trainable = {k: v for k, v in params.blocks.items()
-                     if not params.is_frozen(k)}
-        self.m = {k: np.zeros_like(v) for k, v in trainable.items()}
-        self.v = {k: np.zeros_like(v) for k, v in trainable.items()}
+        self.m = {k: np.zeros_like(v) for k, v in params.blocks.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.blocks.items()}
         # a slab is whole leading-axis rows; one scratch slab per dtype
         self._rows = {}
         sizes = {}
-        for name, arr in trainable.items():
+        for name, arr in params.blocks.items():
             row = arr.size // len(arr)
             self._rows[name] = max(1, self.SLAB // row)
             sizes[arr.dtype] = max(sizes.get(arr.dtype, 0),
@@ -387,8 +372,6 @@ class AdamOptimizer:
         step_size = self.lr * root_bc2 / (1.0 - self.beta1 ** self.t)
         eps_hat = self.eps * root_bc2
         for name, rows in self._rows.items():
-            if params.is_frozen(name):
-                continue
             theta = params.blocks[name]
             scratch = self._scratch[theta.dtype]
             for lo in range(0, len(theta), rows):
@@ -428,15 +411,15 @@ class TrainHistory:
 
 
 def _val_metric(params: ModelParams, data) -> float:
-    """Validation score that early stopping maximises.
-
-    Classification uses F1 and regression R^2.  Where R^2 is undefined (a
-    one-row view, or constant targets) regression uses the negative mean
-    squared error instead.
-    """
     protein, text, labels = data
-    scores = forward(params, protein, text)
-    if params.config.task == "classification":
+    return _score(forward(params, protein, text), labels, params.config.task)
+
+
+def _score(scores: np.ndarray, labels: np.ndarray, task: str) -> float:
+    """Validation score that early stopping maximises: F1, or R^2 for
+    regression, or where R^2 is undefined (a one-row view, or constant
+    targets) the negative mean squared error."""
+    if task == "classification":
         return classification_metrics(scores, labels)["f1"]
     targets = np.asarray(labels, dtype=np.float64)
     if len(targets) < 2 or np.all(targets == targets[0]):
@@ -444,19 +427,12 @@ def _val_metric(params: ModelParams, data) -> float:
     return regression_metrics(scores, labels)["r2"]
 
 
-def train(data_train, data_val, config: ModelConfig,
-          base_params: ModelParams | None = None) -> tuple:
-    """Mini-batch Adam training with best-val early stopping.
-
-    data_* are (protein, text, labels) with None for an absent modality.
-    Fully deterministic for a fixed (config, data) pair.
-    """
-    protein, text, labels = data_train
+def _fit(params: ModelParams, labels: np.ndarray, batch_grads, val_metric,
+         config: ModelConfig) -> tuple:
+    """Mini-batch Adam on the rows of `labels`, keeping the params of the
+    best `val_metric(params)`; `batch_grads(params, idx, labels[idx], w_pos)`
+    gives the loss and every block's gradient on the rows `idx`."""
     n = len(labels)
-    if n == 0 or len(data_val[2]) == 0:
-        raise ValueError("train and val data must be nonempty")
-    params = base_params.copy() if base_params is not None \
-        else init_params(config)
     n_pos = int(np.sum(labels == 1))
     w_pos = compute_pos_weight(int(np.sum(labels == 0)), n_pos) \
         if config.task == "classification" and n_pos else 1.0
@@ -466,21 +442,17 @@ def train(data_train, data_val, config: ModelConfig,
     best_params = params.copy()
     since_best = 0
     for epoch in range(config.max_epochs):
-        rng = np.random.default_rng([config.seed, epoch])
-        order = rng.permutation(n)
+        order = np.random.default_rng([config.seed, epoch]).permutation(n)
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch_p = protein[idx] if protein is not None else None
-            batch_x = text[idx] if text is not None else None
-            loss, grads = compute_gradients(params, batch_p, batch_x,
-                                            labels[idx], w_pos)
+            loss, grads = batch_grads(params, idx, labels[idx], w_pos)
             optimizer.step(params, grads)
             epoch_loss += loss
             n_batches += 1
         history.train_loss.append(epoch_loss / n_batches)
-        metric = _val_metric(params, data_val)
+        metric = val_metric(params)
         history.val_metric.append(metric)
         if metric > best:
             best = metric
@@ -495,33 +467,61 @@ def train(data_train, data_val, config: ModelConfig,
     return best_params, history
 
 
-def finetune(base: ModelParams, data, config: ModelConfig) -> tuple:
-    """Train only the prediction head on a 70:15:15 internal split.
+def train(data_train, data_val, config: ModelConfig) -> tuple:
+    """Mini-batch Adam training with best-val early stopping.
 
-    Projection and fusion blocks are frozen and come back bit-identical.
+    data_* are (protein, text, labels) with None for an absent modality.
+    Fully deterministic for a fixed (config, data) pair.
     """
+    protein, text, labels = data_train
+    if len(labels) == 0 or len(data_val[2]) == 0:
+        raise ValueError("train and val data must be nonempty")
+
+    def batch_grads(params, idx, batch_labels, w_pos):
+        batch = [x[idx] if x is not None else None for x in (protein, text)]
+        return compute_gradients(params, *batch, batch_labels, w_pos)
+
+    return _fit(init_params(config), labels, batch_grads,
+                lambda params: _val_metric(params, data_val), config)
+
+
+def finetune(base: ModelParams, data, config: ModelConfig) -> tuple:
+    """Train only the prediction head, on a 70:15:15 internal split of the
+    base model's fused features, which are computed once for every row."""
     protein, text, labels = data
     n = len(labels)
-    if n == 0:
-        raise ValueError("finetune data must be nonempty")
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(n)
+    order = np.random.default_rng(config.seed).permutation(n)
     n_train = int(round(n * 0.70))
     n_val = int(round(n * 0.15))
     idx_train = order[:n_train]
     idx_val = order[n_train:n_train + n_val]
     idx_test = order[n_train + n_val:]
+    if n_train == 0 or n_val == 0:
+        raise EmptyInputError(f"finetune needs train and val rows: {n} "
+                              f"rows give {n_train} train, {n_val} val")
 
-    def subset(idx):
-        return (protein[idx] if protein is not None else None,
-                text[idx] if text is not None else None,
-                labels[idx])
+    features = _fuse(base, protein, text,
+                     _as_tensors(base, trainable=False)).data
+    head = ModelParams(config=base.config, blocks={
+        k: v.copy() for k, v in base.blocks.items() if k.startswith("head.")})
 
-    start = base.copy()
-    start.freeze_flags["projection"] = True
-    start.freeze_flags["fusion"] = True
-    tuned, history = train(subset(idx_train), subset(idx_val), config,
-                           base_params=start)
+    def batch_grads(params, idx, batch_labels, w_pos):
+        blocks = _as_tensors(params, trainable=True)
+        out = _predict(Tensor(features[idx_train[idx]]), blocks,
+                       params.config)
+        return _backprop(params, blocks, out, batch_labels, w_pos)
+
+    def val_metric(params):
+        scores = _predict(Tensor(features[idx_val]),
+                          _as_tensors(params, trainable=False),
+                          params.config).data
+        _check_finite(scores, "model output")
+        return _score(scores, labels[idx_val], params.config.task)
+
+    best, history = _fit(head, labels[idx_train], batch_grads, val_metric,
+                         config)
+    tuned = base.copy()
+    tuned.blocks.update(best.blocks)
     return tuned, history, (idx_train, idx_val, idx_test)
 
 
@@ -531,24 +531,23 @@ def finetune(base: ModelParams, data, config: ModelConfig) -> tuple:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """JSON header at `path` (schema version, config, freeze flags); at
-    `path`.bin the blocks of `_block_specs` in name order, float32 LE and
-    back to back.  Each file is written atomically, the payload first."""
+    """JSON header at `path` (schema version and config); at `path`.bin the
+    blocks of `_block_specs` in name order, float32 LE and back to back.
+    Each file is written atomically, the payload first."""
     path = str(path)
     payload = np.concatenate(
         [params.blocks[name].ravel()
          for name, _ in sorted(_block_specs(params.config))], dtype="<f4")
     write_atomic(path + ".bin", payload)
     write_json_atomic(path, {"schema_version": CHECKPOINT_SCHEMA_VERSION,
-                             "config": asdict(params.config),
-                             "freeze_flags": params.freeze_flags},
+                             "config": asdict(params.config)},
                       indent=1, sort_keys=True)
 
 
 def load_checkpoint(path) -> ModelParams:
-    """The model `save_checkpoint` wrote at `path`.  A header that does not
-    describe a valid model, or a payload of any other size than its blocks,
-    raises E_CORRUPT; another schema version raises E_VERSION."""
+    """The model `save_checkpoint` wrote at `path`; other header fields are
+    ignored.  An invalid header, or a payload missing or of another size
+    than its blocks, raises E_CORRUPT; another schema version E_VERSION."""
     path = str(path)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -560,7 +559,7 @@ def load_checkpoint(path) -> ModelParams:
     if header.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise VersionError(
             f"unsupported schema version {header.get('schema_version')}")
-    stored, flags = header.get("config"), header.get("freeze_flags")
+    stored = header.get("config")
     if not isinstance(stored, dict):
         raise CorruptError(f"{path}: config is not a JSON object")
     known = {f.name for f in fields(ModelConfig)}
@@ -568,16 +567,15 @@ def load_checkpoint(path) -> ModelParams:
     if unknown or missing:
         raise CorruptError(f"{path}: config has unknown keys {unknown}, "
                            f"missing keys {missing}")
-    if not (isinstance(flags, dict) and flags.keys() == set(FREEZE_GROUPS)
-            and all(isinstance(v, bool) for v in flags.values())):
-        raise CorruptError(f"{path}: freeze_flags must map each of "
-                           f"{list(FREEZE_GROUPS)} to a bool")
     try:
         config = ModelConfig(**stored)
     except (TypeError, ValueError) as exc:
         raise CorruptError(f"{path}: config: {exc}") from None
-    with open(path + ".bin", "rb") as fh:
-        payload = fh.read()
+    try:
+        with open(path + ".bin", "rb") as fh:
+            payload = fh.read()
+    except FileNotFoundError:
+        raise CorruptError(f"{path}.bin: payload file is missing") from None
     size = 4 * parameter_count(config)
     if len(payload) != size:
         raise CorruptError(f"{path}.bin: {len(payload)} bytes, not the "
@@ -588,4 +586,4 @@ def load_checkpoint(path) -> ModelParams:
         blocks[name] = np.frombuffer(payload, "<f4", count, offset) \
             .reshape(shape).astype(config.np_dtype)
         offset += 4 * count
-    return ModelParams(config=config, blocks=blocks, freeze_flags=flags)
+    return ModelParams(config=config, blocks=blocks)

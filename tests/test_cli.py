@@ -547,3 +547,38 @@ class TestCli:
         assert f"E_ENCODING: {data}: line 2: byte 0xff is not UTF-8" \
             in result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
+
+    def test_predict_without_the_payload_file_is_corrupt(self, trained,
+                                                         tmp_path):
+        config = copy_run(trained, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        ckpt = os.path.join(config["paths"]["out_dir"],
+                            "model_classification.ckpt")
+        os.remove(ckpt + ".bin")
+        result = self._invoke(["predict", "--config", str(config_path),
+                               "--checkpoint", ckpt,
+                               "--data", config["paths"]["corpus"]])
+        assert result.exit_code == 1
+        assert f"E_CORRUPT: {ckpt}.bin: payload file is missing" \
+            in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+
+    def test_finetune_on_two_rows_is_an_empty_input_error(self, trained,
+                                                          tmp_path, schema):
+        config = copy_run(trained, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = config["paths"]["out_dir"]
+        data = tmp_path / "two_rows.tsv"
+        write_sample_table(
+            parse_sample_table(os.path.join(out, "curated.tsv"), schema)[:2],
+            data, schema)
+        result = self._invoke(["finetune", "--config", str(config_path),
+                               "--checkpoint",
+                               os.path.join(out, "model_classification.ckpt"),
+                               "--data", str(data)])
+        assert result.exit_code == 1
+        assert "E_EMPTY: finetune needs train and val rows: 2 rows give " \
+            "1 train, 0 val" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a program module imports is used there, and
-the third-party modules it imports are exactly the declared dependencies."""
+"""Source hygiene: every name a program module imports is used there, the
+third-party modules it imports are exactly the declared dependencies, and
+every parameter a function takes is read."""
 
 from __future__ import annotations
 
@@ -53,6 +54,54 @@ def test_no_unused_imports():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function(parameter)` for each parameter, other than self and cls,
+    that its function's body never reads; a body that only raises
+    NotImplementedError (after any docstring) is exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = [stmt for stmt in node.body
+                if not (isinstance(stmt, ast.Expr)
+                        and isinstance(stmt.value, ast.Constant))]
+        if len(body) == 1 and isinstance(body[0], ast.Raise):
+            exc = body[0].exc
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(exc, ast.Name) and exc.id == "NotImplementedError":
+                continue
+        args = node.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if arg is not None]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name)
+                and isinstance(name.ctx, ast.Load)}
+        found.extend(f"{node.name}({param})" for param in params
+                     if param not in ("self", "cls") and param not in read)
+    return found
+
+
+def test_unread_parameter_detector():
+    source = ("def f(a, b, *args, c=1, **kw):\n"
+              "    '''doc'''\n    b = a\n    return args, kw\n"
+              "class P:\n    def embed(self, text):\n"
+              "        '''doc'''\n        raise NotImplementedError\n"
+              "    def size(self, unit):\n        return 1\n"
+              "    @classmethod\n    def make(cls, n):\n"
+              "        def inner():\n            return n\n"
+              "        return inner\n")
+    assert unread_parameters(source) == ["f(b)", "f(c)", "size(unit)"]
+
+
+def test_every_parameter_is_read():
+    # a parameter that is passed around but never read is a knob with no
+    # effect; abstract stubs that only raise NotImplementedError are exempt
+    unread = {path.name: unread_parameters(path.read_text(encoding="utf-8"))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: params for name, params in unread.items() if params} == {}
 
 
 def test_third_party_imports_are_the_declared_dependencies():

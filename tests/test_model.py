@@ -11,16 +11,17 @@ import time
 import numpy as np
 import pytest
 
+from nanocorona import model
 from nanocorona.autodiff import Tensor
 from nanocorona.errors import (
     CorruptError,
     DimensionError,
+    EmptyInputError,
     NonFiniteError,
     NoPositivesError,
     VersionError,
 )
 from nanocorona.model import (
-    FREEZE_GROUPS,
     AdamOptimizer,
     ModelConfig,
     _as_tensors,
@@ -246,28 +247,6 @@ class TestGradients:
             rel = np.abs(numeric - analytic) / denom
             assert rel.max() < 1e-4, f"{name}: max rel err {rel.max():.2e}"
         assert time.monotonic() - started < 60.0
-
-    def test_frozen_blocks_get_zero_gradients(self):
-        cfg = tiny_config()
-        params = init_params(cfg)
-        params.freeze_flags["projection"] = True
-        rng = np.random.default_rng(7)
-        protein, text = _draw(cfg, rng)
-        labels = np.array([0.0, 1.0, 1.0, 0.0])
-        _, grads = compute_gradients(params, protein, text, labels)
-        for name, g in grads.items():
-            if name.startswith("proj_"):
-                assert not g.any()
-            else:
-                assert g.any()
-
-    def test_frozen_blocks_enter_graph_as_constants(self):
-        params = init_params(tiny_config())
-        params.freeze_flags["projection"] = True
-        params.freeze_flags["fusion"] = True
-        blocks = _as_tensors(params, trainable=True)
-        for name, tensor in blocks.items():
-            assert tensor.requires_grad == name.startswith("head."), name
 
     def test_matmul_skips_gradient_of_constant_operand(self):
         rng = np.random.default_rng(8)
@@ -525,6 +504,73 @@ class TestFinetune:
         combined = sorted(np.concatenate([idx_train, idx_val, idx_test]))
         assert combined == list(range(100))
 
+    def test_features_are_computed_once(self, monkeypatch):
+        calls = []
+        fuse = model._fuse
+
+        def counted(params, protein, text, blocks):
+            calls.append(len(protein))
+            return fuse(params, protein, text, blocks)
+
+        monkeypatch.setattr(model, "_fuse", counted)
+        cfg = tiny_config(max_epochs=3, patience=10, batch_size=8)
+        finetune(init_params(cfg), _toy_data(cfg, 40, seed=9), cfg)
+        assert calls == [40]
+
+    def test_optimizer_holds_moments_for_head_blocks_only(self, monkeypatch):
+        built = []
+
+        class Recorded(AdamOptimizer):
+            def __init__(self, params, lr):
+                super().__init__(params, lr)
+                built.append((self, params))
+
+        monkeypatch.setattr(model, "AdamOptimizer", Recorded)
+        cfg = tiny_config(max_epochs=2)
+        base = init_params(cfg)
+        finetune(base, _toy_data(cfg, 40, seed=9), cfg)
+        (opt, params), = built
+        head = {name for name in base.blocks if name.startswith("head.")}
+        assert head and set(params.blocks) == head
+        assert set(opt.m) == set(opt.v) == set(opt._rows) == head
+        slab = max(min(len(params.blocks[k]), opt._rows[k])
+                   * (params.blocks[k].size // len(params.blocks[k]))
+                   for k in head)
+        assert [a.size for a in opt._scratch.values()] == [slab]
+
+    def test_matches_training_the_whole_model_with_a_frozen_backbone(self):
+        # the same head steps as a reference that runs the full forward per
+        # batch and applies Adam to the head blocks' gradients alone
+        cfg = tiny_config(max_epochs=4, patience=10, batch_size=8)
+        base = init_params(cfg)
+        data = _toy_data(cfg, 50, seed=11)
+        tuned, history, (idx_train, _, _) = finetune(base, data, cfg)
+        protein, text, labels = (x[idx_train] for x in data)
+        params = base.copy()
+        head = model.ModelParams(cfg, {k: v for k, v in params.blocks.items()
+                                       if k.startswith("head.")})
+        opt = AdamOptimizer(head, lr=cfg.learning_rate)
+        w_pos = compute_pos_weight(int(np.sum(labels == 0)),
+                                   int(np.sum(labels == 1)))
+        for epoch in range(history.best_epoch + 1):
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(
+                len(labels))
+            for start in range(0, len(labels), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                _, grads = compute_gradients(params, protein[idx], text[idx],
+                                             labels[idx], w_pos)
+                opt.step(head, grads)
+        for name in tuned.blocks:
+            np.testing.assert_allclose(tuned.blocks[name],
+                                       params.blocks[name], rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+    def test_too_few_rows_is_an_empty_input_error(self):
+        cfg = tiny_config()
+        with pytest.raises(EmptyInputError,
+                           match="2 rows give 1 train, 0 val"):
+            finetune(init_params(cfg), _toy_data(cfg, 2, seed=0), cfg)
+
 
 class TestCheckpoint:
     def _params(self):
@@ -550,11 +596,29 @@ class TestCheckpoint:
         assert (tmp_path / "a.ckpt.bin").read_bytes() == \
             (tmp_path / "b.ckpt.bin").read_bytes()
 
-    def test_freeze_flags_survive(self, tmp_path):
+    def test_header_with_the_older_freeze_flags_loads(self, tmp_path):
+        # headers written before fine-tuning became structural also held
+        # the freeze flags; they load, the flags ignored
         params = self._params()
-        params.freeze_flags["fusion"] = True
-        save_checkpoint(params, tmp_path / "m.ckpt")
-        assert load_checkpoint(tmp_path / "m.ckpt").freeze_flags["fusion"]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        header = json.loads(path.read_text())
+        header["freeze_flags"] = {"projection": True, "fusion": True,
+                                  "head": False}
+        path.write_text(json.dumps(header, indent=1, sort_keys=True))
+        loaded = load_checkpoint(path)
+        assert loaded.config == params.config
+        assert set(loaded.blocks) == set(params.blocks)
+        for name in params.blocks:
+            assert loaded.blocks[name].tobytes() == \
+                params.blocks[name].tobytes(), name
+
+    def test_missing_payload_is_corrupt(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._params(), path)
+        (tmp_path / "m.ckpt.bin").unlink()
+        with pytest.raises(CorruptError, match=re.escape(f"{path}.bin")):
+            load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
         import json
@@ -574,7 +638,7 @@ class TestCheckpoint:
             params.blocks[name].astype("<f4").tobytes()
             for name in sorted(params.blocks))
         header = json.loads((tmp_path / "m.ckpt").read_text())
-        assert sorted(header) == ["config", "freeze_flags", "schema_version"]
+        assert sorted(header) == ["config", "schema_version"]
 
     def test_v1_header_is_a_version_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -584,8 +648,7 @@ class TestCheckpoint:
         with pytest.raises(VersionError, match="unsupported schema version 1"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit", ["torn", "array", "config",
-                                      "freeze_flags"])
+    @pytest.mark.parametrize("edit", ["torn", "array", "config"])
     def test_unreadable_header_names_the_path(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"
         save_checkpoint(self._params(), path)
@@ -603,17 +666,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value", [
-        ("freeze_flags", "head"),
-        ("freeze_flags", list(FREEZE_GROUPS)),
-        ("freeze_flags", {**dict.fromkeys(FREEZE_GROUPS, False),
-                          "embed": False}),
-        ("freeze_flags", {**dict.fromkeys(FREEZE_GROUPS, False),
-                          "head": 1}),
-        ("config", [1, 2]),
         ("config.mlp_hidden", 6),
         ("config.tokens", 0),
         ("config.heads", 0),
         ("config.d_shared", "wide"),
+        ("config", [1, 2]),
         ("config.batch_size", None),
         ("config.dtype", "float16"),
         ("config.modality", "both"),
@@ -681,12 +738,11 @@ def _textbook_adam(theta, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 class TestAdam:
     @pytest.mark.parametrize("slab", [None, 5])  # None: the default slab
-    def test_matches_textbook_adam_and_skips_frozen(self, monkeypatch, slab):
+    def test_matches_textbook_adam(self, monkeypatch, slab):
         if slab is not None:
             monkeypatch.setattr(AdamOptimizer, "SLAB", slab)
         cfg = tiny_config()
         params = init_params(cfg)
-        params.freeze_flags["fusion"] = True
         start = params.copy()
         rng = np.random.default_rng(10)
         history = [{k: rng.standard_normal(v.shape) * 10.0 ** rng.integers(
@@ -696,25 +752,10 @@ class TestAdam:
         for grads in history:
             opt.step(params, grads)
         for name, block in params.blocks.items():
-            if name.startswith("attn_"):
-                assert block.tobytes() == start.blocks[name].tobytes()
-                continue
             expected = _textbook_adam(start.blocks[name],
                                       [g[name] for g in history], lr=0.01)
             np.testing.assert_allclose(block, expected, rtol=0, atol=1e-12,
                                        err_msg=name)
-
-    def test_frozen_blocks_get_no_moments(self):
-        cfg = tiny_config()
-        params = init_params(cfg)
-        params.freeze_flags.update(projection=True, fusion=True)
-        opt = AdamOptimizer(params, lr=0.01)
-        head = {name for name in params.blocks if name.startswith("head.")}
-        assert head and set(opt.m) == set(opt.v) == set(opt._rows) == head
-        slab = max(min(len(params.blocks[k]), opt._rows[k])
-                   * (params.blocks[k].size // len(params.blocks[k]))
-                   for k in head)
-        assert [a.size for a in opt._scratch.values()] == [slab]
 
     def test_descends_on_quadratic(self):
         cfg = tiny_config()
