@@ -9,14 +9,15 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import click
 
 from . import model, pipeline
 from .encode import encode_view, predict as predict_records
-from .errors import NanocoronaError
-from .schema import parse_sample_table, write_table
-from .splits import classification_view
+from .errors import NanocoronaError, NoDataError
+from .schema import parse_sample_table, write_json_atomic, write_table
+from .splits import classification_view, regression_view
 
 
 _SHARED_OPTIONS = (
@@ -25,7 +26,7 @@ _SHARED_OPTIONS = (
     click.option("--out", default=None, help="Output directory."),
     click.option("--seed", type=int, default=None),
     click.option("--provider",
-                 type=click.Choice(["synthetic", "precomputed", "remote"]),
+                 type=click.Choice(pipeline.PROVIDER_KINDS),
                  default=None),
     click.option("--endpoint", default=None,
                  help="Remote embedding service URL."),
@@ -95,17 +96,28 @@ def run_all(cfg):
               type=click.Path(exists=True),
               help="Sample table for fine-tuning.")
 def finetune(cfg, checkpoint, data_path):
-    """Fine-tune only the prediction head on new task data."""
+    """Fine-tune only the prediction head on new data, for the checkpoint's
+    task (regression targets through the run's boxcox.json)."""
     schema, catalog, providers = pipeline.load_encoding(cfg)
     records = parse_sample_table(data_path, schema)
     base = model.load_checkpoint(checkpoint)
-    view = classification_view(records)
+    if base.config.task == "regression":
+        transform = pipeline.load_transform(cfg)
+        if transform is None:
+            raise NoDataError("boxcox.json has a null lambda: split fitted "
+                              "no transform for regression targets")
+        view = regression_view(records, transform)
+    else:
+        view = classification_view(records)
     data = encode_view(view.records, view.labels, schema, catalog,
                        providers, base.config.modality)
     tuned, history, _ = model.finetune(base, data, base.config)
     out_path = pipeline._out(cfg, "model_finetuned.ckpt")
     model.save_checkpoint(tuned, out_path)
+    hist_path = pipeline._out(cfg, "history_finetuned.json")
+    write_json_atomic(hist_path, asdict(history), indent=1)
     click.echo(out_path)
+    click.echo(hist_path)
 
 
 @main.command()

@@ -7,12 +7,12 @@ from dataclasses import dataclass, replace
 
 from .encode import ProviderBundle, predict
 from .errors import SameFeatureError, ViewMismatchError
-from .metrics import classification_metrics, regression_metrics
 from .model import (
     MODALITY_PROTEIN_ONLY,
     MODALITY_TEXT_ONLY,
     ModelConfig,
     ModelParams,
+    score,
     train,
 )
 from .schema import (
@@ -61,12 +61,9 @@ def classify_interaction(interaction: float,
 def evaluate_view(params: ModelParams, view: TaskView, schema: FeatureSchema,
                   catalog: ProteinCatalog, providers: ProviderBundle,
                   mask_set: frozenset = frozenset()) -> float:
-    """Task metric (F1 for classification, R^2 for regression) on a view."""
-    scores = predict(params, view.records, providers, schema, catalog,
-                     mask_set)
-    if params.config.task == "classification":
-        return classification_metrics(scores, view.labels)["f1"]
-    return regression_metrics(scores, view.labels)["r2"]
+    """The metric early stopping maximises (`model.score`) on a view."""
+    return score(predict(params, view.records, providers, schema, catalog,
+                         mask_set), view.labels, params.config.task)
 
 
 def train_single_modality(train_data, val_data, modality: str,

@@ -10,20 +10,6 @@ from .errors import ZeroVarianceError
 AUC_UNDEFINED = None
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share the average of their ranks."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def rank_auc(scores, labels):
     """AUC as the Mann-Whitney rank statistic with midrank tie handling.
 
@@ -35,7 +21,11 @@ def rank_auc(scores, labels):
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         return AUC_UNDEFINED
-    ranks = _midranks(scores)
+    # ranks start at 1; the c tied values whose last rank is r share the
+    # mean of their ranks, r - (c - 1) / 2
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_sum = float(np.sum(ranks[labels == 1]))
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -34,6 +34,19 @@ MODALITY_PROTEIN_ONLY = "protein_only"
 MODALITY_TEXT_ONLY = "text_only"
 
 
+def fits_default(value, default) -> bool:
+    """Whether a config may hold `value` where its default is `default`: a
+    value of the default's type and not a bool, where a float default also
+    takes an int, a null one a string, and a tuple one a list or tuple of
+    values that fit its first item."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            fits_default(v, default[0]) for v in value)
+    kind = {float: (int, float), type(None): (str, type(None))}.get(
+        type(default), type(default))
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
 @dataclass
 class ModelConfig:
     task: str = "classification"  # "classification" | "regression"
@@ -52,6 +65,11 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not fits_default(value, f.default):
+                raise ValueError(f"{f.name}: {value!r} does not have the "
+                                 f"type of its default {f.default!r}")
         self.mlp_hidden = tuple(self.mlp_hidden)
         if self.task not in ("classification", "regression"):
             raise ValueError(f"unknown task {self.task!r}")
@@ -66,6 +84,8 @@ class ModelConfig:
             raise ValueError("heads must divide token_dim")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
 
@@ -117,9 +137,6 @@ def _block_specs(config: ModelConfig) -> list[tuple[str, tuple]]:
 class ModelParams:
     config: ModelConfig
     blocks: dict  # name -> np.ndarray
-
-    def count(self) -> int:
-        return sum(arr.size for arr in self.blocks.values())
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -354,15 +371,14 @@ class AdamOptimizer:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.blocks.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.blocks.items()}
-        # a slab is whole leading-axis rows; one scratch slab per dtype
-        self._rows = {}
-        sizes = {}
-        for name, arr in params.blocks.items():
-            row = arr.size // len(arr)
-            self._rows[name] = max(1, self.SLAB // row)
-            sizes[arr.dtype] = max(sizes.get(arr.dtype, 0),
-                                   min(len(arr), self._rows[name]) * row)
-        self._scratch = {dt: np.empty(n, dtype=dt) for dt, n in sizes.items()}
+        # a slab is whole leading-axis rows; every block has the config's
+        # dtype, so one scratch array holds the largest slab
+        self._rows = {name: max(1, self.SLAB // (arr.size // len(arr)))
+                      for name, arr in params.blocks.items()}
+        self._scratch = np.empty(
+            max(min(len(arr), self._rows[name]) * (arr.size // len(arr))
+                for name, arr in params.blocks.items()),
+            dtype=params.config.np_dtype)
 
     def step(self, params: ModelParams, grads: dict) -> None:
         self.t += 1
@@ -373,16 +389,15 @@ class AdamOptimizer:
         eps_hat = self.eps * root_bc2
         for name, rows in self._rows.items():
             theta = params.blocks[name]
-            scratch = self._scratch[theta.dtype]
             for lo in range(0, len(theta), rows):
                 part = slice(lo, lo + rows)
                 self._update(theta[part], grads[name][part],
                              self.m[name][part], self.v[name][part],
-                             scratch, step_size, eps_hat)
+                             step_size, eps_hat)
 
-    def _update(self, theta, g, m, v, scratch, step_size, eps_hat) -> None:
+    def _update(self, theta, g, m, v, step_size, eps_hat) -> None:
         b1, b2 = self.beta1, self.beta2
-        tmp = scratch[:theta.size].reshape(theta.shape)
+        tmp = self._scratch[:theta.size].reshape(theta.shape)
         m *= b1
         np.multiply(g, 1.0 - b1, out=tmp)
         m += tmp
@@ -412,10 +427,10 @@ class TrainHistory:
 
 def _val_metric(params: ModelParams, data) -> float:
     protein, text, labels = data
-    return _score(forward(params, protein, text), labels, params.config.task)
+    return score(forward(params, protein, text), labels, params.config.task)
 
 
-def _score(scores: np.ndarray, labels: np.ndarray, task: str) -> float:
+def score(scores: np.ndarray, labels: np.ndarray, task: str) -> float:
     """Validation score that early stopping maximises: F1, or R^2 for
     regression, or where R^2 is undefined (a one-row view, or constant
     targets) the negative mean squared error."""
@@ -438,8 +453,7 @@ def _fit(params: ModelParams, labels: np.ndarray, batch_grads, val_metric,
         if config.task == "classification" and n_pos else 1.0
     optimizer = AdamOptimizer(params, lr=config.learning_rate)
     history = TrainHistory()
-    best = -np.inf
-    best_params = params.copy()
+    best, best_params = -np.inf, None  # the first epoch improves on -inf
     since_best = 0
     for epoch in range(config.max_epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(n)
@@ -516,7 +530,7 @@ def finetune(base: ModelParams, data, config: ModelConfig) -> tuple:
                           _as_tensors(params, trainable=False),
                           params.config).data
         _check_finite(scores, "model output")
-        return _score(scores, labels[idx_val], params.config.task)
+        return score(scores, labels[idx_val], params.config.task)
 
     best, history = _fit(head, labels[idx_train], batch_grads, val_metric,
                          config)

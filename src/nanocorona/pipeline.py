@@ -92,22 +92,38 @@ def _deep_update(base: dict, override) -> dict:
     return out
 
 
+PROVIDER_KINDS = ("synthetic", "precomputed", "remote")
+
+
 def _check_values(config: dict) -> dict:
-    """config, once its model section builds a ModelConfig and its ablation
-    names only schema features, each pair two different ablated ones;
-    otherwise ValueError names the section."""
+    """config, once each value outside the model section fits its default
+    (`model.fits_default`) and its range, the model section builds a
+    ModelConfig, and the ablation names only schema features, each pair
+    two different ablated ones; otherwise ValueError names the key, or the
+    model section."""
+    for section in ("paths", "split", "provider", "ablation"):
+        for key, default in DEFAULT_CONFIG[section].items():
+            value = config[section][key]
+            if not model.fits_default(value, default):
+                raise ValueError(f"{section}.{key}: {value!r} does not have "
+                                 f"the type of its default {default!r}")
+    if config["split"]["n_bins"] < 1:
+        raise ValueError("split.n_bins: must be >= 1")
+    if not config["ablation"]["epsilon"] >= 0:  # nan included
+        raise ValueError("ablation.epsilon: must be >= 0")
+    if config["provider"]["kind"] not in PROVIDER_KINDS:
+        raise ValueError(f"provider.kind: must be one of {PROVIDER_KINDS}")
     try:
         model.ModelConfig(**config["model"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model: {exc}") from None
     feature_ids = default_schema().feature_ids
     features, pairs = (config["ablation"][k] for k in ("features", "pairs"))
-    if not isinstance(features, list) or any(f not in feature_ids
-                                             for f in features):
+    if any(f not in feature_ids for f in features):
         raise ValueError(f"ablation.features: {features!r} is not a list "
                          "of schema features")
     ablated = features or feature_ids
-    for pair in pairs if isinstance(pairs, list) else [pairs]:
+    for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2
                 and pair[0] != pair[1] and all(f in ablated for f in pair)):
             raise ValueError(f"ablation.pairs: {pair!r} is not two different "
@@ -192,19 +208,15 @@ def build_providers(config: dict) -> ProviderBundle:
     store = EmbeddingStore(config["paths"]["cache"])
     kind = pcfg["kind"]
     if kind == "synthetic":
-        seed = int(pcfg["seed"])
-        protein = SyntheticProteinProvider(seed)
-        text = SyntheticTextProvider(seed)
+        protein = SyntheticProteinProvider(pcfg["seed"])
+        text = SyntheticTextProvider(pcfg["seed"])
     elif kind == "precomputed":
         protein = PrecomputedProvider(store, "protein", PROTEIN_DIM)
         text = PrecomputedProvider(store, "text", TEXT_DIM)
         return ProviderBundle(protein=protein, text=text)
-    elif kind == "remote":
-        endpoint = pcfg["endpoint"]
-        protein = RemoteProvider(endpoint, "protein", PROTEIN_DIM)
-        text = RemoteProvider(endpoint, "text", TEXT_DIM)
-    else:
-        raise ValueError(f"unknown provider kind {kind!r}")
+    else:  # "remote"
+        protein = RemoteProvider(pcfg["endpoint"], "protein", PROTEIN_DIM)
+        text = RemoteProvider(pcfg["endpoint"], "text", TEXT_DIM)
     return ProviderBundle(protein=CachedProvider(protein, store),
                           text=CachedProvider(text, store))
 
@@ -280,8 +292,7 @@ def stage_split(config: dict) -> list[str]:
     schema = default_schema()
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     scfg = config["split"]
-    assignment = splits.assign_splits(records, int(scfg["seed"]),
-                                      int(scfg["n_bins"]))
+    assignment = splits.assign_splits(records, scfg["seed"], scfg["n_bins"])
     manifest_path = _out(config, "split_manifest.tsv")
     splits.write_split_manifest(assignment, manifest_path)
     train_records = splits.split_records(records, assignment, "train")
@@ -304,6 +315,19 @@ def load_encoding(config: dict):
 SPLITS = ("train", "val", "test")
 
 
+def load_transform(config: dict) -> BoxCoxTransform | None:
+    """The Box-Cox transform split wrote to boxcox.json, or None when it
+    fitted none; a missing file raises E_NO_DATA."""
+    path = _out(config, "boxcox.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            boxcox = json.load(fh)
+    except FileNotFoundError:
+        raise NoDataError(f"{path} is missing: run split first") from None
+    return None if boxcox["lambda"] is None else BoxCoxTransform(
+        lam=boxcox["lambda"], fitted_on=boxcox["fitted_on"])
+
+
 def load_views(config: dict):
     """load_encoding's (schema, catalog, providers), then the curated
     corpus's (task, split) -> TaskView map and the Box-Cox transform.  The
@@ -311,10 +335,7 @@ def load_views(config: dict):
     schema, catalog, providers = load_encoding(config)
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     assignment = splits.read_split_manifest(_out(config, "split_manifest.tsv"))
-    with open(_out(config, "boxcox.json"), encoding="utf-8") as fh:
-        boxcox = json.load(fh)
-    transform = None if boxcox["lambda"] is None else BoxCoxTransform(
-        lam=boxcox["lambda"], fitted_on=boxcox["fitted_on"])
+    transform = load_transform(config)
     views = {}
     for split in SPLITS:
         members = splits.split_records(records, assignment, split)
@@ -440,7 +461,7 @@ def stage_ablate(config: dict) -> list[str]:
     for f, g in acfg["pairs"]:
         interactions.append(ablate_pair(params, view, f, g, schema, catalog,
                                         providers, singles,
-                                        float(acfg["epsilon"])))
+                                        acfg["epsilon"]))
     report = importance_report(list(singles.values()), interactions)
     json_path = _out(config, "importance.json")
     csv_path = _out(config, "fig_importance.csv")
@@ -460,8 +481,7 @@ def rpa_bin_table(scores, labels, rpas, n_bins: int = 5) -> list[dict]:
     edges = [0.0, curation.AFFINITY_THRESHOLD]
     positives = rpas[rpas > curation.AFFINITY_THRESHOLD]
     if positives.size:
-        qs = np.linspace(0, 1, n_bins)[1:-1]
-        edges.extend(float(q) for q in np.quantile(positives, qs))
+        edges.extend(splits.quantile_bin_edges(positives, n_bins - 1))
         edges.append(float(positives.max()))
     rows = []
     for lo, hi in zip(edges, edges[1:]):

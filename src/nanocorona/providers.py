@@ -28,16 +28,6 @@ class EmbeddingProvider:
         raise NotImplementedError
 
 
-def _validate_vector(vec: np.ndarray, dim: int, source: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=np.float32)
-    if vec.ndim != 1 or vec.shape[0] != dim:
-        raise DimensionError(
-            f"{source} returned shape {vec.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(vec)):
-        raise ProviderError(f"{source} returned non-finite values")
-    return vec
-
-
 def _bucket(token: str, n_buckets: int) -> int:
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") % n_buckets
@@ -144,8 +134,11 @@ class PrecomputedProvider(EmbeddingProvider):
         entry = self.store.get(canonical_hash(text))
         if entry is None:
             raise ProviderError("no precomputed vector for input")
-        _, vec = entry
-        return _validate_vector(vec, self.dim, self.provider_id)
+        _, vec = entry  # the store has checked that it is finite
+        if vec.shape != (self.dim,):
+            raise DimensionError(f"{self.provider_id} vector has shape "
+                                 f"{vec.shape}, expected ({self.dim},)")
+        return vec
 
 
 def embed_protein(sequence: str, provider: EmbeddingProvider) -> np.ndarray:

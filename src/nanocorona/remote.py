@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DimensionError, HttpError, ProviderError,
                      TimeoutExhaustedError)
-from .providers import EmbeddingProvider, _validate_vector
+from .providers import EmbeddingProvider
 
 _HEADERS = {"Content-Type": "application/json"}
 
@@ -88,15 +88,17 @@ def _parse_vector(data: bytes, dim: int, source: str) -> np.ndarray:
     vector = body.get("vector") if isinstance(body, dict) else None
     if not isinstance(vector, list):
         raise ProviderError(f"{source} returned no 'vector' list")
-    if body.get("dim") != dim or len(vector) != dim:
-        raise DimensionError(f"service returned dim {body.get('dim')} "
-                             f"({len(vector)} values), expected {dim}")
     try:
         vec = np.asarray(vector, dtype=np.float32)
     except (TypeError, ValueError) as exc:
         raise ProviderError(f"{source} returned a non-numeric vector: "
                             f"{exc}") from None
-    return _validate_vector(vec, dim, source)
+    if body.get("dim") != dim or vec.shape != (dim,):
+        raise DimensionError(f"service returned dim {body.get('dim')} "
+                             f"(shape {vec.shape}), expected {dim}")
+    if not np.all(np.isfinite(vec)):
+        raise ProviderError(f"{source} returned non-finite values")
+    return vec
 
 
 def remote_embed(endpoint: str, modality: str, input_text: str, dim: int,

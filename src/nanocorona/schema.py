@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -246,6 +247,20 @@ class ValidationReport:
         return self.total - self.valid
 
 
+def parse_number(cell: str, line_no: int, what: str, kind=float):
+    """kind(cell) for the cell of `what` on line `line_no` of a table; a
+    cell that does not parse, or parses to nan or an infinity, raises
+    E_BAD_NUMBER naming the line."""
+    try:
+        value = kind(cell)
+    except ValueError:
+        value = math.nan
+    if not -math.inf < value < math.inf:  # nan compares false
+        raise BadNumberError(f"line {line_no}: {what} {cell!r} is not a "
+                             f"finite number")
+    return value
+
+
 def _parse_cell(cell: str, fdef: FeatureDef, line_no: int) -> FeatureValue:
     cell = cell.strip()
     if cell == "":
@@ -256,12 +271,7 @@ def _parse_cell(cell: str, fdef: FeatureDef, line_no: int) -> FeatureValue:
         return free_text(cell)
     # numeric: "<number>" or "<number> <unit>"
     parts = cell.split(None, 1)
-    try:
-        value = float(parts[0])
-    except ValueError:
-        raise BadNumberError(
-            f"line {line_no}: cannot parse {cell!r} as number for "
-            f"feature {fdef.feature_id}") from None
+    value = parse_number(parts[0], line_no, fdef.feature_id)
     unit = parts[1].strip() if len(parts) > 1 else fdef.unit
     return numeric(value, unit)
 
@@ -312,14 +322,7 @@ def parse_sample_table(path, schema: FeatureSchema) -> list[SampleRecord]:
             cell = row.get(fdef.feature_id, "")
             features[fdef.feature_id] = _parse_cell(cell, fdef, idx)
         rpa_cell = row["rpa"].strip()
-        if rpa_cell == "":
-            rpa = None
-        else:
-            try:
-                rpa = float(rpa_cell)
-            except ValueError:
-                raise BadNumberError(
-                    f"line {idx}: bad rpa value {rpa_cell!r}") from None
+        rpa = parse_number(rpa_cell, idx, "rpa") if rpa_cell else None
         flags_cell = row["fill_flags"].strip()
         flags = frozenset(f for f in flags_cell.split(";") if f)
         records.append(SampleRecord(
@@ -376,11 +379,8 @@ def load_protein_catalog(path) -> ProteinCatalog:
     _, rows = read_tsv(path, ("accession", "sequence", "molecular_weight_kda"))
     for idx, row in rows:
         mw_cell = row["molecular_weight_kda"].strip()
-        try:
-            mw = float(mw_cell) if mw_cell else None
-        except ValueError:
-            raise BadNumberError(
-                f"line {idx}: bad molecular_weight_kda {mw_cell!r}") from None
+        mw = parse_number(mw_cell, idx, "molecular_weight_kda") \
+            if mw_cell else None
         catalog.add(ProteinRecord(
             accession=row["accession"].strip(),
             sequence=row["sequence"].strip(),

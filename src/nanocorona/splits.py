@@ -10,8 +10,8 @@ import numpy as np
 
 from .boxcox import BoxCoxTransform, boxcox_apply
 from .curation import AFFINITY_THRESHOLD, binarize
-from .errors import BadNumberError, EmptyCorpusError
-from .schema import SampleRecord, read_tsv, write_table
+from .errors import EmptyCorpusError
+from .schema import SampleRecord, parse_number, read_tsv, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -45,14 +45,14 @@ def _origin_rpa(corpus: list[SampleRecord]) -> dict[str, float | None]:
     return out
 
 
-def quantile_bin_edges(affinity_rpas: list[float],
+def quantile_bin_edges(affinity_rpas,
                        n_bins: int = DEFAULT_N_BINS) -> list[float]:
-    """Interior quantile edges over affinity RPA values.
+    """Interior quantile edges over affinity RPA values, a list or an array.
 
     Bin membership under any strictly monotone transform of RPA is identical
     to binning the raw values, so edges are computed on the raw scale.
     """
-    if not affinity_rpas:
+    if len(affinity_rpas) == 0:
         return []
     qs = np.linspace(0, 1, n_bins + 1)[1:-1]
     return [float(q) for q in np.quantile(affinity_rpas, qs)]
@@ -122,11 +122,7 @@ def read_split_manifest(path) -> SplitAssignment:
     for idx, row in rows:
         origin = row["origin_id"]
         assignment[origin] = row["split"]
-        try:
-            bins[origin] = int(row["bin"])
-        except ValueError:
-            raise BadNumberError(
-                f"line {idx}: bad bin {row['bin']!r}") from None
+        bins[origin] = parse_number(row["bin"], idx, "bin", int)
     return SplitAssignment(assignment=assignment, bins=bins)
 
 

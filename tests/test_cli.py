@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nanocorona import curation, pipeline, splits
+from nanocorona import curation, model, pipeline, splits
 from nanocorona.cli import main
 from nanocorona.errors import StageError
 from nanocorona.schema import (
     UNKNOWN,
+    numeric,
     ProteinCatalog,
     load_protein_catalog,
     parse_sample_table,
@@ -421,6 +422,20 @@ class TestCli:
         ({"model": {"tokens": 7}}, "model.tokens=8", "model"),
         ({"model": {"heads": 0}}, None, "model"),
         ({"model": {"modality": "both"}}, None, "model"),
+        ({}, "provider.kind=foo", "provider.kind"),
+        ({}, "provider.seed=x", "provider.seed"),
+        ({}, "provider.endpoint=3", "provider.endpoint"),
+        ({}, "split.seed=x", "split.seed"),
+        ({}, "split.seed=true", "split.seed"),
+        ({}, "split.n_bins=-3", "split.n_bins"),
+        ({}, "ablation.epsilon=x", "ablation.epsilon"),
+        ({}, "ablation.epsilon=-0.1", "ablation.epsilon"),
+        ({}, "model.seed=x", "model: seed"),
+        ({}, "model.learning_rate=x", "model: learning_rate"),
+        ({}, "model.patience=x", "model: patience"),
+        ({}, "model.max_epochs=0", "model"),
+        ({}, "paths.corpus=3", "paths.corpus"),
+        ({}, "paths.alignment_table=3", "paths.alignment_table"),
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, user,
                                                override, path):
@@ -582,3 +597,76 @@ class TestCli:
         assert "E_EMPTY: finetune needs train and val rows: 2 rows give " \
             "1 train, 0 val" in result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
+
+    def test_predict_on_an_infinite_number_is_a_bad_number(self, trained,
+                                                          tmp_path, schema):
+        config = copy_run(trained, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = config["paths"]["out_dir"]
+        records = parse_sample_table(os.path.join(out, "curated.tsv"), schema)
+        records[0] = records[0].with_feature("zeta_potential",
+                                             numeric(float("inf"), "mV"))
+        data = tmp_path / "inf.tsv"
+        write_sample_table(records, data, schema)
+        result = self._invoke(["predict", "--config", str(config_path),
+                               "--checkpoint",
+                               os.path.join(out, "model_classification.ckpt"),
+                               "--data", str(data)])
+        assert result.exit_code == 1
+        assert "E_BAD_NUMBER: line 2: zeta_potential 'inf' is not a finite " \
+            "number" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+
+    def test_finetune_follows_a_regression_checkpoint(self, trained,
+                                                      tmp_path, schema,
+                                                      monkeypatch):
+        config = copy_run(trained, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = config["paths"]["out_dir"]
+        seen = []
+        real = model.finetune
+        monkeypatch.setattr(model, "finetune", lambda base, data, cfg:
+                            seen.append(data[2]) or real(base, data, cfg))
+        curated = os.path.join(out, "curated.tsv")
+        result = self._invoke(["finetune", "--config", str(config_path),
+                               "--checkpoint",
+                               os.path.join(out, "model_regression.ckpt"),
+                               "--data", curated])
+        assert result.exit_code == 0, result.output
+        view = splits.regression_view(parse_sample_table(curated, schema),
+                                      pipeline.load_transform(config))
+        [labels] = seen
+        assert np.array_equal(labels, view.labels)
+        header = json.load(open(os.path.join(out, "model_finetuned.ckpt")))
+        assert header["config"]["task"] == "regression"
+        history = json.load(open(os.path.join(out, "history_finetuned.json")))
+        trained_history = json.load(open(os.path.join(
+            out, "history_regression.json")))
+        assert set(history) == set(trained_history)
+        assert len(history["val_metric"]) == len(history["train_loss"]) >= 1
+
+    @pytest.mark.parametrize("boxcox", [None, {"lambda": None,
+                                               "fitted_on": "train"}],
+                             ids=["missing", "null_lambda"])
+    def test_regression_finetune_without_a_transform_is_no_data(
+            self, trained, tmp_path, boxcox):
+        config = copy_run(trained, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = config["paths"]["out_dir"]
+        path = os.path.join(out, "boxcox.json")
+        if boxcox is None:
+            os.remove(path)
+        else:
+            with open(path, "w") as fh:
+                json.dump(boxcox, fh)
+        result = self._invoke(["finetune", "--config", str(config_path),
+                               "--checkpoint",
+                               os.path.join(out, "model_regression.ckpt"),
+                               "--data", os.path.join(out, "curated.tsv")])
+        assert result.exit_code == 1
+        assert "E_NO_DATA: " in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert not os.path.exists(os.path.join(out, "model_finetuned.ckpt"))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nanocorona.boxcox import BoxCoxTransform
-from nanocorona.encode import ProviderBundle, encode_view
+from nanocorona.encode import ProviderBundle, encode_view, predict
 from nanocorona.errors import SameFeatureError, ViewMismatchError
 from nanocorona.importance import (
     NEUTRAL,
@@ -89,6 +89,19 @@ def additive_task(schema, providers):
     params, history = train(data["train"], data["val"], cfg)
     assert max(history.val_metric) > 0.9  # fixture sanity
     return {"params": params, "views": views, "catalog": catalog}
+
+
+class TestEvaluateView:
+    def test_constant_target_regression_view_scores_negative_mse(
+            self, schema, providers, additive_task):
+        # R^2 is undefined on constant targets; the view gets the metric
+        # early stopping uses there, the negative mean squared error
+        params, catalog = additive_task["params"], additive_task["catalog"]
+        test = additive_task["views"]["test"]
+        view = dataclasses.replace(test, labels=np.full(len(test), 0.5))
+        scores = predict(params, view.records, providers, schema, catalog)
+        assert evaluate_view(params, view, schema, catalog, providers) == \
+            -float(np.mean((scores - view.labels) ** 2))
 
 
 class TestClassifyInteraction:

@@ -1,10 +1,12 @@
 """Source hygiene: every name a program module imports is used there, the
-third-party modules it imports are exactly the declared dependencies, and
-every parameter a function takes is read."""
+third-party modules it imports are exactly the declared dependencies,
+every parameter a function takes is read, and every top-level function or
+class is named somewhere besides its own definition."""
 
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 import re
 import sys
@@ -102,6 +104,47 @@ def test_every_parameter_is_read():
     unread = {path.name: unread_parameters(path.read_text(encoding="utf-8"))
               for path in sorted(SRC.glob("*.py"))}
     assert {name: params for name, params in unread.items() if params} == {}
+
+
+def unnamed_definitions(modules: dict, others: list) -> list[str]:
+    """`module.name` for each top-level function or class in the sources of
+    `modules` (name -> source) whose name, as a word, appears in no source
+    of `modules` or `others` outside the lines that define it."""
+    words = collections.Counter(
+        word for text in [*modules.values(), *others]
+        for word in re.findall(r"\w+", text))
+    found = []
+    for module, source in modules.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own = "\n".join(lines[node.lineno - 1:node.end_lineno])
+                if words[node.name] == re.findall(r"\w+", own).count(
+                        node.name):
+                    found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_unnamed_definition_detector():
+    modules = {"a": ("def used():\n    return 1\n"
+                     "def dead(n):\n    '''dead() calls dead.'''\n"
+                     "    return dead(n - 1)\n"
+                     "class Box:\n    def method(self):\n        pass\n"),
+               "b": "from a import used\nx = used()\n"}
+    assert unnamed_definitions(modules, ["Box()"]) == ["a.dead"]
+    assert unnamed_definitions(modules, []) == ["a.dead", "a.Box"]
+
+
+def test_every_definition_is_named_elsewhere():
+    # a function or class that nothing in the program, its tests or its
+    # benchmark names is dead code
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text(encoding="utf-8")
+              for folder in ("tests", "bench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unnamed_definitions(modules, others) == []
 
 
 def test_third_party_imports_are_the_declared_dependencies():

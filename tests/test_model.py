@@ -340,7 +340,8 @@ class TestInit:
         for fan_in, fan_out in zip(widths, widths[1:]):
             expected += fan_in * fan_out + fan_out
         assert parameter_count(cfg) == expected
-        assert init_params(cfg).count() == expected
+        assert sum(a.size for a in init_params(cfg).blocks.values()) == \
+            expected
 
     def test_deterministic_per_seed(self):
         a = init_params(tiny_config(seed=3))
@@ -427,6 +428,18 @@ class TestTrain:
                        - np.array(val_labels)) ** 2)
         assert _val_metric(params, val) == pytest.approx(-mse, rel=1e-12)
         assert max(history.val_metric) == pytest.approx(-mse, rel=1e-12)
+
+    def test_one_epoch_copies_the_params_once(self, monkeypatch):
+        # the params are copied only when the val metric improves, and the
+        # first epoch always improves on -inf
+        copies = []
+        copy = model.ModelParams.copy
+        monkeypatch.setattr(model.ModelParams, "copy",
+                            lambda self: copies.append(1) or copy(self))
+        cfg = tiny_config(max_epochs=1)
+        data = _toy_data(cfg, 20, seed=6)
+        train(data, data, cfg)
+        assert len(copies) == 1
 
     def test_nan_input_raises(self):
         cfg = tiny_config(max_epochs=3)
@@ -536,7 +549,7 @@ class TestFinetune:
         slab = max(min(len(params.blocks[k]), opt._rows[k])
                    * (params.blocks[k].size // len(params.blocks[k]))
                    for k in head)
-        assert [a.size for a in opt._scratch.values()] == [slab]
+        assert opt._scratch.shape == (slab,)
 
     def test_matches_training_the_whole_model_with_a_frozen_backbone(self):
         # the same head steps as a reference that runs the full forward per
@@ -684,6 +697,19 @@ class TestCheckpoint:
         (header[section] if section else header)[field] = value
         path.write_text(json.dumps(header))
         with pytest.raises(CorruptError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 0), ("seed", "x"), ("learning_rate", "x"),
+        ("patience", True), ("mlp_hidden", ["a", 1])])
+    def test_header_value_of_another_type_is_corrupt(self, tmp_path, field,
+                                                     value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._params(), path)
+        header = json.loads(path.read_text())
+        header["config"][field] = value
+        path.write_text(json.dumps(header))
+        with pytest.raises(CorruptError, match=f"config: {field}"):
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):

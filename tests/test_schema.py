@@ -178,6 +178,20 @@ class TestTableReaders:
             reader(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, column", [
+    ("sample_table", "dls_size"), ("sample_table", "rpa"),
+    ("protein_catalog", "molecular_weight_kda"), ("split_manifest", "bin")])
+def test_number_cell_must_be_finite(tmp_path, name, column, cell):
+    reader, header, row = TABLE_READERS[name]
+    bad = list(row)
+    bad[header.index(column)] = cell
+    path = tmp_path / "t.tsv"
+    _write_table(path, header, [row, bad])
+    with pytest.raises(BadNumberError, match=f"line 3: {column} '{cell}'"):
+        reader(path)
+
+
 class TestProteinCatalog:
     def test_lookup_exact_match(self, tmp_path):
         path = tmp_path / "cat.tsv"
