@@ -12,6 +12,7 @@ from .model import (
     MODALITY_TEXT_ONLY,
     ModelConfig,
     ModelParams,
+    metric_kind,
     score,
     train,
 )
@@ -36,7 +37,7 @@ class AblationRecord:
     metric_full: float
     metric_ablated: float
     delta: float
-    metric_kind: str  # "F1" | "R2"
+    metric_kind: str  # model.metric_kind of the view: "F1" | "R2" | "-MSE"
 
 
 @dataclass
@@ -90,11 +91,11 @@ def ablate_feature(params: ModelParams, eval_view: TaskView, feature: str,
                                     providers)
     metric_ablated = evaluate_view(params, eval_view, schema, catalog,
                                    providers, frozenset({feature}))
-    kind = "F1" if params.config.task == "classification" else "R2"
     return AblationRecord(feature=feature, metric_full=metric_full,
                           metric_ablated=metric_ablated,
                           delta=metric_full - metric_ablated,
-                          metric_kind=kind)
+                          metric_kind=metric_kind(eval_view.labels,
+                                                  params.config.task))
 
 
 def ablate_pair(params: ModelParams, eval_view: TaskView, f: str, g: str,

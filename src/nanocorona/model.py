@@ -76,16 +76,21 @@ class ModelConfig:
         if self.modality not in (MODALITY_FUSED, MODALITY_PROTEIN_ONLY,
                                  MODALITY_TEXT_ONLY):
             raise ValueError(f"unknown modality {self.modality!r}")
-        if self.tokens < 1 or self.heads < 1:
-            raise ValueError("tokens and heads must be >= 1")
+        for name in ("d_shared", "tokens", "heads", "batch_size",
+                     "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: {getattr(self, name)!r} is "
+                                 f"below 1")
+        if any(width < 1 for width in self.mlp_hidden):
+            raise ValueError(f"mlp_hidden: {list(self.mlp_hidden)} holds a "
+                             f"width below 1")
+        if not 0 < self.learning_rate < math.inf:  # nan compares false
+            raise ValueError(f"learning_rate: {self.learning_rate!r} is not "
+                             f"a finite number above 0")
         if self.d_shared % self.tokens:
             raise ValueError("tokens must divide d_shared")
         if self.token_dim % self.heads:
             raise ValueError("heads must divide token_dim")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
 
@@ -430,16 +435,28 @@ def _val_metric(params: ModelParams, data) -> float:
     return score(forward(params, protein, text), labels, params.config.task)
 
 
-def score(scores: np.ndarray, labels: np.ndarray, task: str) -> float:
-    """Validation score that early stopping maximises: F1, or R^2 for
-    regression, or where R^2 is undefined (a one-row view, or constant
-    targets) the negative mean squared error."""
+def metric_kind(labels: np.ndarray, task: str) -> str:
+    """Name of the metric `score` computes on these labels: "F1", or "R2"
+    for regression, or where R^2 is undefined (a one-row view, or constant
+    targets) "-MSE", the negative mean squared error."""
     if task == "classification":
-        return classification_metrics(scores, labels)["f1"]
+        return "F1"
     targets = np.asarray(labels, dtype=np.float64)
     if len(targets) < 2 or np.all(targets == targets[0]):
-        return -float(np.mean((scores - targets) ** 2))
-    return regression_metrics(scores, labels)["r2"]
+        return "-MSE"
+    return "R2"
+
+
+def score(scores: np.ndarray, labels: np.ndarray, task: str) -> float:
+    """Validation score that early stopping maximises, the metric
+    `metric_kind` names."""
+    kind = metric_kind(labels, task)
+    if kind == "F1":
+        return classification_metrics(scores, labels)["f1"]
+    if kind == "R2":
+        return regression_metrics(scores, labels)["r2"]
+    return -float(np.mean((scores - np.asarray(labels, dtype=np.float64))
+                          ** 2))
 
 
 def _fit(params: ModelParams, labels: np.ndarray, batch_grads, val_metric,

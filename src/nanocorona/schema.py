@@ -7,6 +7,7 @@ provenance) live outside the experimental feature schema.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -283,7 +284,11 @@ def read_tsv(path, required: tuple[str, ...] = ()):
     row's cell count.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return _split_tsv(fh.read(), path, required)
+
+
+def _split_tsv(raw: bytes, path, required: tuple[str, ...]):
+    """read_tsv of a file whose bytes are `raw`."""
     try:
         lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -307,24 +312,52 @@ def read_tsv(path, required: tuple[str, ...] = ()):
     return header, rows()
 
 
+# The last sample table parsed: ((sha256 of its bytes, schema.features),
+# its records).  One entry, so a process keeps no table but the latest.
+_last_parse: tuple = (None, [])
+
+
 def parse_sample_table(path, schema: FeatureSchema) -> list[SampleRecord]:
-    """Parse a TSV sample table into records; empty cells become Unknown."""
-    header, rows = read_tsv(path, BOOKKEEPING_COLUMNS)
+    """Parse a TSV sample table into records; empty cells become Unknown.
+
+    The last table parsed is kept, keyed by the sha256 of the file's bytes
+    and the schema's features, so parsing the same content again returns a
+    new list of the same records.  Records are shared and read-only: no
+    caller may mutate a record's `features` in place (`with_feature` and
+    `dataclasses.replace` copy).  Within one parse, equal cells of a column
+    share one FeatureValue and equal fill_flags cells one frozenset.  A
+    parse that raises keeps nothing.
+    """
+    global _last_parse
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    key = (hashlib.sha256(raw).digest(), schema.features)
+    if _last_parse[0] == key:
+        return list(_last_parse[1])
+    header, rows = _split_tsv(raw, path, BOOKKEEPING_COLUMNS)
     if not header:
         raise RowShapeError("empty file")
     for col in header:
         if col not in BOOKKEEPING_COLUMNS and col not in schema:
             raise UnknownColumnError(f"unknown column {col!r}")
+    columns = [(fdef, {}) for fdef in schema.features]
+    flag_sets: dict[str, frozenset] = {}
     records = []
     for idx, row in rows:
         features = {}
-        for fdef in schema.features:
+        for fdef, parsed in columns:
             cell = row.get(fdef.feature_id, "")
-            features[fdef.feature_id] = _parse_cell(cell, fdef, idx)
+            value = parsed.get(cell)
+            if value is None:
+                value = parsed[cell] = _parse_cell(cell, fdef, idx)
+            features[fdef.feature_id] = value
         rpa_cell = row["rpa"].strip()
         rpa = parse_number(rpa_cell, idx, "rpa") if rpa_cell else None
-        flags_cell = row["fill_flags"].strip()
-        flags = frozenset(f for f in flags_cell.split(";") if f)
+        flags_cell = row["fill_flags"]
+        flags = flag_sets.get(flags_cell)
+        if flags is None:
+            flags = flag_sets[flags_cell] = frozenset(
+                f for f in flags_cell.strip().split(";") if f)
         records.append(SampleRecord(
             sample_id=row["sample_id"],
             study_id=row["study_id"],
@@ -336,7 +369,8 @@ def parse_sample_table(path, schema: FeatureSchema) -> list[SampleRecord]:
             fill_flags=flags,
             is_filled_variant=row["is_filled_variant"].strip() in ("1", "true", "True"),
         ))
-    return records
+    _last_parse = (key, records)
+    return list(records)
 
 
 def write_atomic(path, data) -> None:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nanocorona import curation, model, pipeline, splits
+from nanocorona import curation, model, pipeline, schema as schema_module
+from nanocorona import splits
 from nanocorona.cli import main
 from nanocorona.errors import StageError
 from nanocorona.schema import (
@@ -171,6 +172,24 @@ class TestEndToEnd:
             open(os.path.join(out, "run_manifest.json")).read())
         assert [s["stage"] for s in manifest["stages"]] == \
             list(pipeline.RUN_ALL_ORDER)
+
+    def test_run_all_parses_each_sample_table_once(self, tmp_path, schema,
+                                                   monkeypatch):
+        # counted inside schema: a full parse splits the file's rows, a
+        # parse of content already kept does not
+        parsed = []
+        split_tsv = schema_module._split_tsv
+
+        def counting(raw, path, required):
+            if required == schema_module.BOOKKEEPING_COLUMNS:
+                parsed.append(os.path.basename(path))
+            return split_tsv(raw, path, required)
+
+        monkeypatch.setattr(schema_module, "_split_tsv", counting)
+        monkeypatch.setattr(schema_module, "_last_parse", (None, []))
+        _, config = make_workspace(tmp_path, schema)
+        pipeline.run_end_to_end(config)
+        assert parsed == ["corpus.tsv", "curated.tsv"]
 
     def test_rerun_is_digest_identical(self, tmp_path, schema):
         _, config = make_workspace(tmp_path, schema, out_name="out1")
@@ -436,6 +455,15 @@ class TestCli:
         ({}, "model.max_epochs=0", "model"),
         ({}, "paths.corpus=3", "paths.corpus"),
         ({}, "paths.alignment_table=3", "paths.alignment_table"),
+        ({}, "model.learning_rate=-1", "model: learning_rate"),
+        ({}, "model.learning_rate=0", "model: learning_rate"),
+        ({}, "model.learning_rate=NaN", "model: learning_rate"),
+        ({}, "model.learning_rate=Infinity", "model: learning_rate"),
+        ({}, "model.patience=-5", "model: patience"),
+        ({}, "model.patience=0", "model: patience"),
+        ({}, "model.mlp_hidden=[0]", "model: mlp_hidden"),
+        ({}, "model.mlp_hidden=[512,-1]", "model: mlp_hidden"),
+        ({}, "model.d_shared=0", "model: d_shared"),
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, user,
                                                override, path):

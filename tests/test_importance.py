@@ -104,6 +104,28 @@ class TestEvaluateView:
             -float(np.mean((scores - view.labels) ** 2))
 
 
+class TestAblationMetricKind:
+    """Each record names the metric `evaluate_view` scored the view by (a
+    classification view's "F1": TestAblateFeature)."""
+
+    @pytest.mark.parametrize("labels, kind", [
+        (None, "R2"), ("constant", "-MSE"), ("one_row", "-MSE")])
+    def test_regression_view(self, schema, providers, additive_task, labels,
+                             kind):
+        params, catalog = additive_task["params"], additive_task["catalog"]
+        view = additive_task["views"]["test"]
+        if labels == "constant":
+            view = dataclasses.replace(view, labels=np.full(len(view), 0.5))
+        elif labels == "one_row":
+            view = dataclasses.replace(view, records=view.records[:1],
+                                       labels=view.labels[:1])
+        record = ablate_feature(params, view, "core", schema, catalog,
+                                providers)
+        assert record.metric_kind == kind
+        assert record.metric_full == evaluate_view(params, view, schema,
+                                                   catalog, providers)
+
+
 class TestClassifyInteraction:
     def test_sign_and_threshold(self):
         assert classify_interaction(0.05, epsilon=0.01) == SYNERGY

@@ -5,6 +5,7 @@ initialization, training behaviour, fine-tuning, and checkpoint I/O."""
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 
@@ -701,7 +702,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("field, value", [
         ("max_epochs", 0), ("seed", "x"), ("learning_rate", "x"),
-        ("patience", True), ("mlp_hidden", ["a", 1])])
+        ("patience", True), ("mlp_hidden", ["a", 1]),
+        # the right type, out of range
+        ("learning_rate", -1.0), ("learning_rate", math.nan), ("patience", 0),
+        ("mlp_hidden", [0]), ("d_shared", 0)])
     def test_header_value_of_another_type_is_corrupt(self, tmp_path, field,
                                                      value):
         path = tmp_path / "m.ckpt"

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from nanocorona import schema as schema_module
 from nanocorona.curation import load_alignment_table
 from nanocorona.errors import (
     BadNumberError,
@@ -127,6 +130,86 @@ class TestParseSampleTable:
         path2 = tmp_path / "round2.tsv"
         write_sample_table(reparsed, path2, schema)
         assert path.read_bytes() == path2.read_bytes()
+
+
+class TestParseOnce:
+    """parse_sample_table keeps the last table it parsed, keyed by content,
+    and parses each distinct cell of a column once."""
+
+    @pytest.fixture(autouse=True)
+    def no_kept_table(self, monkeypatch):
+        monkeypatch.setattr(schema_module, "_last_parse", (None, []))
+
+    def header(self, schema):
+        return list(BOOKKEEPING_COLUMNS) + list(schema.feature_ids)
+
+    def test_same_content_returns_the_same_records(self, tmp_path, schema):
+        path = tmp_path / "t.tsv"
+        _write_table(path, self.header(schema),
+                     [_full_row(schema, "s1"), _full_row(schema, "s2")])
+        first = parse_sample_table(path, schema)
+        again = parse_sample_table(path, default_schema())
+        assert again is not first
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_equal_cells_share_one_feature_value(self, tmp_path, schema):
+        path = tmp_path / "t.tsv"
+        _write_table(path, self.header(schema),
+                     [_full_row(schema, "s1"), _full_row(schema, "s2")])
+        a, b = parse_sample_table(path, schema)
+        for fid in schema.feature_ids:
+            assert a.features[fid] is b.features[fid]
+        assert a.fill_flags is b.fill_flags
+
+    def test_same_size_rewrite_with_old_mtime_is_parsed_again(self, tmp_path,
+                                                              schema):
+        path = tmp_path / "t.tsv"
+        _write_table(path, self.header(schema),
+                     [_full_row(schema, "s1", zeta="12.5")])
+        before = os.stat(path)
+        (old,) = parse_sample_table(path, schema)
+        _write_table(path, self.header(schema),
+                     [_full_row(schema, "s1", zeta="13.5")])
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == \
+            (before.st_size, before.st_mtime_ns)
+        (new,) = parse_sample_table(path, schema)
+        assert old.features["zeta_potential"].number == 12.5
+        assert new.features["zeta_potential"].number == 13.5
+
+    def test_mutating_the_returned_list_leaves_the_next_parse(self, tmp_path,
+                                                              schema):
+        path = tmp_path / "t.tsv"
+        _write_table(path, self.header(schema),
+                     [_full_row(schema, "s1"), _full_row(schema, "s2")])
+        first = parse_sample_table(path, schema)
+        expected = list(first)
+        first.pop()
+        first.append(first[0])
+        first.reverse()
+        assert parse_sample_table(path, schema) == expected
+
+    def test_repeated_bad_cell_names_its_first_line(self, tmp_path, schema):
+        path = tmp_path / "t.tsv"
+        rows = [_full_row(schema, f"s{i}", zeta="12.5x" if i % 2 else "1")
+                for i in range(4)]  # lines 3 and 5 hold the bad cell
+        _write_table(path, self.header(schema), rows)
+        with pytest.raises(BadNumberError,
+                           match="line 3: zeta_potential '12.5x'") as exc:
+            parse_sample_table(path, schema)
+        assert exc.value.code == "E_BAD_NUMBER"
+
+    def test_failed_parse_keeps_the_previous_table(self, tmp_path, schema):
+        good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+        _write_table(good, self.header(schema), [_full_row(schema, "s1")])
+        _write_table(bad, self.header(schema),
+                     [_full_row(schema, "s1", zeta="x")])
+        (kept,) = parse_sample_table(good, schema)
+        with pytest.raises(BadNumberError, match="line 2"):
+            parse_sample_table(bad, schema)
+        (again,) = parse_sample_table(good, schema)
+        assert again is kept
 
 
 def _sample_table(path):
