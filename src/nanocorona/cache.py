@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CacheError
 from .prompts import canonical_hash
-from .providers import EmbeddingProvider
+from .providers import BATCH, EmbeddingProvider, as_batch
 from .schema import write_json_atomic
 
 
@@ -170,19 +170,40 @@ class CachedProvider(EmbeddingProvider):
         self.modality = inner.modality
         self.dim = inner.dim
 
-    def embed(self, text: str) -> np.ndarray:
-        """The stored vector for `text`, or the inner provider's, stored.
+    def embed(self, texts: str | list[str]):
+        """The stored vector of each input (one str, or a list), or the
+        inner provider's, stored.
 
-        A hit whose stored dimension or provider does not match raises
-        E_CACHE; the inner provider is not called on a hit.
+        Each distinct input is looked up once.  A hit whose stored dimension
+        or provider does not match raises E_CACHE before the inner provider
+        is called; the inner provider never sees a hit.  The misses go to it
+        in first-miss order, BATCH per call, and each chunk's vectors are put
+        before the next chunk is sent, so the store holds the same bytes as
+        when each input is embedded alone; a chunk that raises puts nothing.
         """
-        key_hex = canonical_hash(text)
-        entry = self.store.get(key_hex)
-        if entry is None:
-            vec = self.inner.embed(text)
-            self.store.put(key_hex, self.provider_id, vec)
-            return vec
-        provider_id, vec = entry
+        batch, single = as_batch(texts)
+        keys = [canonical_hash(text) for text in batch]
+        vectors: dict[str, np.ndarray] = {}
+        misses: dict[str, str] = {}
+        for key, text in zip(keys, batch):
+            if key in vectors or key in misses:
+                continue
+            entry = self.store.get(key)
+            if entry is None:
+                misses[key] = text
+            else:
+                vectors[key] = self._checked(*entry)
+        pending = list(misses)
+        for start in range(0, len(pending), BATCH):
+            chunk = pending[start:start + BATCH]
+            for key, vec in zip(chunk, self.inner.embed(
+                    [misses[key] for key in chunk])):
+                self.store.put(key, self.provider_id, vec)
+                vectors[key] = vec
+        out = [vectors[key] for key in keys]
+        return out[0] if single else out
+
+    def _checked(self, provider_id: str, vec: np.ndarray) -> np.ndarray:
         if vec.shape[0] != self.dim:
             raise CacheError(
                 f"stored dim {vec.shape[0]} != requested dim {self.dim}")

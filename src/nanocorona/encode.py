@@ -28,8 +28,8 @@ class ProviderBundle:
 def _embed_rows(inputs: list[str], index: list[int], embed,
                 provider: EmbeddingProvider) -> np.ndarray:
     """(len(index), provider.dim) float32 matrix whose row i is
-    embed(inputs[index[i]], provider); each input is embedded once."""
-    vectors = [embed(text, provider) for text in inputs]
+    embed(inputs[index[i]], provider); every input is embedded in one call."""
+    vectors = embed(inputs, provider)
     # copy rows straight into the result: gathering them from a stacked
     # distinct-input matrix frees a large block on every call, and glibc
     # then serves later large arrays from a heap it keeps resident

@@ -364,10 +364,8 @@ def stage_embed(config: dict) -> list[str]:
     sequences = sorted({protein_sequence(catalog, r.protein_accession)
                         for r in records})
     prompts = sorted(distinct_prompts(records, schema)[0])
-    for seq in sequences:
-        providers.protein.embed(seq)
-    for text in prompts:
-        providers.text.embed(text)
+    providers.protein.embed(sequences)
+    providers.text.embed(prompts)
     stats_path = _out(config, "embed_stats.json")
     write_json_atomic(stats_path, {"unique_sequences": len(sequences),
                                    "unique_prompts": len(prompts)}, indent=1)

@@ -17,6 +17,21 @@ MODALITY_PROTEIN = "protein"
 MODALITY_TEXT = "text"
 
 
+# the synthetic encoders sum at most BATCH inputs per count-matrix product,
+# and stack the directions of at most GROUP used buckets at a time; both
+# bound the float64 work arrays (2 MB of text directions) whatever the size
+# of a call, and CachedProvider sends its misses in chunks of BATCH
+BATCH = 32
+GROUP = 64
+
+
+def as_batch(texts: str | list[str]) -> tuple[list[str], bool]:
+    """(inputs, single): a str is a batch of one, and `single` says so."""
+    if isinstance(texts, str):
+        return [texts], True
+    return list(texts), False
+
+
 class EmbeddingProvider:
     """Maps input text (sequence or prompt) to a fixed-dimension vector."""
 
@@ -24,7 +39,9 @@ class EmbeddingProvider:
     modality: str
     dim: int
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, texts: str | list[str]):
+        """One input's (dim,) float32 vector for a str; for a list of
+        inputs, the list of their vectors in order."""
         raise NotImplementedError
 
 
@@ -41,6 +58,17 @@ class _HashedProjectionProvider(EmbeddingProvider):
     inputs share buckets and therefore land near each other.  Each token's
     bucket is hashed once per instance; the memo holds one entry per distinct
     token seen, which is bounded by the vocabulary of the inputs embedded.
+
+    A call embeds its inputs BATCH at a time as one float64 product: a count
+    matrix, one row per input and one column per used bucket in ascending
+    order, times those buckets' directions, stacked GROUP at a time into one
+    scratch that the call reuses (one kept on the provider slowed later
+    stages that embed nothing, such as a paper-size eval on a warm store,
+    by about 15%).  Each row is then normalised and cast to float32.  The
+    tests check the vectors bit for bit against the original per-bucket
+    loop, one input at a time and in batches, and across BLAS thread
+    counts: BLAS does not fix the order in which it adds the float64 terms,
+    and those checks guard that the sums still round to the same float32.
     """
 
     n_buckets: int
@@ -61,7 +89,7 @@ class _HashedProjectionProvider(EmbeddingProvider):
             self._directions[bucket] = cached
         return cached
 
-    def embed(self, text: str) -> np.ndarray:
+    def _counts(self, text: str) -> dict[int, int]:
         if not text:
             raise ProviderError("empty input")
         buckets = self._buckets
@@ -71,20 +99,39 @@ class _HashedProjectionProvider(EmbeddingProvider):
             if b is None:
                 b = buckets[token] = _bucket(token, self.n_buckets)
             counts[b] = counts.get(b, 0) + 1
-        # the sum of count * direction in ascending bucket order, as float64;
-        # a count of 1 adds the direction itself, which is the same value
-        vec = np.zeros(self.dim, dtype=np.float64)
-        scaled = np.empty(self.dim, dtype=np.float64)
-        for b in sorted(counts):
-            n = counts[b]
-            if n == 1:
-                vec += self._direction(b)
-            else:
-                vec += np.multiply(self._direction(b), n, out=scaled)
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ProviderError("degenerate input: zero embedding")
-        return (vec / norm).astype(np.float32)
+        return counts
+
+    def embed(self, texts: str | list[str]):
+        batch, single = as_batch(texts)
+        counts = [self._counts(text) for text in batch]
+        vectors = []
+        for start in range(0, len(counts), BATCH):
+            vectors += self._project(counts[start:start + BATCH])
+        return vectors[0] if single else vectors
+
+    def _project(self, counts: list[dict[int, int]]) -> list[np.ndarray]:
+        """The unit float32 vector of each input's bucket counts."""
+        used = sorted(set().union(*counts))
+        column = {b: j for j, b in enumerate(used)}
+        matrix = np.zeros((len(counts), len(used)))
+        for row, bucket_counts in zip(matrix, counts):
+            row[[column[b] for b in bucket_counts]] = list(
+                bucket_counts.values())
+        sums = np.zeros((len(counts), self.dim))
+        scratch = np.empty((min(GROUP, len(used)), self.dim))
+        for start in range(0, len(used), GROUP):
+            group = used[start:start + GROUP]
+            block = scratch[:len(group)]
+            for j, b in enumerate(group):
+                block[j] = self._direction(b)
+            sums += matrix[:, start:start + len(group)] @ block
+        vectors = []
+        for vec in sums:
+            norm = np.linalg.norm(vec)
+            if norm == 0:
+                raise ProviderError("degenerate input: zero embedding")
+            vectors.append((vec / norm).astype(np.float32))
+        return vectors
 
 
 class SyntheticProteinProvider(_HashedProjectionProvider):
@@ -130,7 +177,14 @@ class PrecomputedProvider(EmbeddingProvider):
         self.modality = modality
         self.dim = dim
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, texts: str | list[str]):
+        """One store get per input; an input with no stored vector raises
+        E_PROVIDER and a stored vector of the wrong dim E_DIM."""
+        batch, single = as_batch(texts)
+        vectors = [self._stored(text) for text in batch]
+        return vectors[0] if single else vectors
+
+    def _stored(self, text: str) -> np.ndarray:
         entry = self.store.get(canonical_hash(text))
         if entry is None:
             raise ProviderError("no precomputed vector for input")
@@ -141,17 +195,24 @@ class PrecomputedProvider(EmbeddingProvider):
         return vec
 
 
-def embed_protein(sequence: str, provider: EmbeddingProvider) -> np.ndarray:
-    if provider.modality != MODALITY_PROTEIN:
+def _embed_checked(texts: str | list[str], provider: EmbeddingProvider,
+                   modality: str):
+    """provider.embed(texts) once the provider's modality is checked and no
+    input is empty."""
+    if provider.modality != modality:
         raise ProviderError(f"provider {provider.provider_id} is not a "
-                            "protein provider")
-    return provider.embed(sequence)
-
-
-def embed_text(text: str, provider: EmbeddingProvider) -> np.ndarray:
-    if provider.modality != MODALITY_TEXT:
-        raise ProviderError(f"provider {provider.provider_id} is not a "
-                            "text provider")
-    if not text:
+                            f"{modality} provider")
+    if not all(as_batch(texts)[0]):
         raise ProviderError("empty input")
-    return provider.embed(text)
+    return provider.embed(texts)
+
+
+def embed_protein(sequences: str | list[str],
+                  provider: EmbeddingProvider):
+    """A sequence's vector, or a list of sequences' vectors."""
+    return _embed_checked(sequences, provider, MODALITY_PROTEIN)
+
+
+def embed_text(texts: str | list[str], provider: EmbeddingProvider):
+    """A prompt's vector, or a list of prompts' vectors."""
+    return _embed_checked(texts, provider, MODALITY_TEXT)

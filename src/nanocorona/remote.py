@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DimensionError, HttpError, ProviderError,
                      TimeoutExhaustedError)
-from .providers import EmbeddingProvider
+from .providers import EmbeddingProvider, as_batch
 
 _HEADERS = {"Content-Type": "application/json"}
 
@@ -155,7 +155,11 @@ class RemoteProvider(EmbeddingProvider):
         self.connection = EmbedConnection(endpoint, timeout)
         self.provider_id = f"remote:{endpoint}:{modality}"
 
-    def embed(self, text: str) -> np.ndarray:
-        return remote_embed(self.endpoint, self.modality, text, self.dim,
-                            retries=self.retries, backoff=self.backoff,
-                            connection=self.connection)
+    def embed(self, texts: str | list[str]):
+        """One `remote_embed` per input, in order, over the one connection."""
+        batch, single = as_batch(texts)
+        vectors = [remote_embed(self.endpoint, self.modality, text, self.dim,
+                                retries=self.retries, backoff=self.backoff,
+                                connection=self.connection)
+                   for text in batch]
+        return vectors[0] if single else vectors

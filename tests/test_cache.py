@@ -13,9 +13,15 @@ import pytest
 
 from nanocorona import cache
 from nanocorona.cache import CachedProvider, EmbeddingStore
-from nanocorona.errors import CacheError
+from nanocorona.errors import CacheError, ProviderError
 from nanocorona.prompts import canonical_hash
-from nanocorona.providers import PrecomputedProvider, SyntheticProteinProvider
+from nanocorona.providers import (
+    BATCH,
+    EmbeddingProvider,
+    PrecomputedProvider,
+    SyntheticProteinProvider,
+    as_batch,
+)
 
 
 def _key(text: str) -> str:
@@ -300,3 +306,109 @@ class TestCachedProvider:
         assert inner.calls == 1
         assert np.array_equal(out1, direct)
         assert np.array_equal(out1, out2)
+
+
+class SpyStore(EmbeddingStore):
+    """An EmbeddingStore that lists the keys of its gets and puts."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.gets: list[str] = []
+        self.puts: list[str] = []
+
+    def get(self, key_hex):
+        self.gets.append(key_hex)
+        return super().get(key_hex)
+
+    def put(self, key_hex, provider_id, vector):
+        self.puts.append(key_hex)
+        super().put(key_hex, provider_id, vector)
+
+
+class BatchRecorder(EmbeddingProvider):
+    """Lists the inputs of each call, and raises on call `fail_on`; input
+    t's vector is filled with the first bytes of its content hash."""
+
+    provider_id = "recorder"
+    modality = "text"
+    dim = 4
+
+    def __init__(self, fail_on: int | None = None):
+        self.fail_on = fail_on
+        self.batches: list[list[str]] = []
+
+    @staticmethod
+    def vector(text: str) -> np.ndarray:
+        return np.full(4, int(_key(text)[:6], 16), dtype=np.float32)
+
+    def embed(self, texts):
+        batch, single = as_batch(texts)
+        self.batches.append(batch)
+        if len(self.batches) == self.fail_on:
+            raise ProviderError("scripted failure")
+        vectors = [self.vector(text) for text in batch]
+        return vectors[0] if single else vectors
+
+
+class TestCachedProviderBatch:
+    """CachedProvider.embed(list): one get per distinct key, every hit
+    checked before the inner provider runs, misses sent once each in
+    chunks of BATCH, and each chunk put before the next is sent."""
+
+    def test_one_inner_input_and_one_put_per_distinct_key(self, tmp_path):
+        store = SpyStore(tmp_path / "emb.bin")
+        inner = BatchRecorder()
+        texts = ["b", "a", "b", "c", "a", "b"]
+        vectors = CachedProvider(inner, store).embed(texts)
+        assert inner.batches == [["b", "a", "c"]]
+        assert store.gets == store.puts == [_key(t) for t in "bac"]
+        for text, vec in zip(texts, vectors):
+            assert np.array_equal(vec, BatchRecorder.vector(text))
+            assert np.array_equal(store.get(_key(text))[1], vec)
+
+    def test_hits_never_reach_the_inner_provider(self, tmp_path):
+        store = SpyStore(tmp_path / "emb.bin")
+        inner = BatchRecorder()
+        cached = CachedProvider(inner, store)
+        cached.embed(["a", "b"])
+        vectors = cached.embed(["b", "d", "a", "d"])
+        assert inner.batches == [["a", "b"], ["d"]]
+        assert store.puts == [_key(t) for t in "abd"]
+        for text, vec in zip("bdad", vectors):
+            assert np.array_equal(vec, BatchRecorder.vector(text))
+
+    @pytest.mark.parametrize("provider_id, dim, match", [
+        ("recorder", 7, "dim"), ("someone-else", 4, "provider")])
+    def test_bad_hit_raises_before_any_inner_call_or_put(
+            self, tmp_path, provider_id, dim, match):
+        store = SpyStore(tmp_path / "emb.bin")
+        store.put(_key("bad"), provider_id, np.ones(dim, dtype=np.float32))
+        store.puts.clear()
+        inner = BatchRecorder()
+        with pytest.raises(CacheError, match=match):
+            CachedProvider(inner, store).embed(["new", "bad", "newer"])
+        assert inner.batches == []
+        assert store.puts == []
+        assert len(store) == 1
+
+    def test_failed_chunk_puts_nothing_and_keeps_earlier_chunks(
+            self, tmp_path):
+        store = SpyStore(tmp_path / "emb.bin")
+        inner = BatchRecorder(fail_on=2)
+        texts = [f"input {i}" for i in range(BATCH + 2)]
+        with pytest.raises(ProviderError, match="scripted"):
+            CachedProvider(inner, store).embed(texts)
+        assert inner.batches == [texts[:BATCH], texts[BATCH:]]
+        assert store.puts == [_key(t) for t in texts[:BATCH]]
+        reopened = EmbeddingStore(tmp_path / "emb.bin")
+        assert len(reopened) == BATCH
+        assert all(_key(t) not in reopened for t in texts[BATCH:])
+
+    def test_empty_list_touches_neither_store_nor_provider(self, tmp_path):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"store.{name} used")
+
+        inner = BatchRecorder()
+        assert CachedProvider(inner, Untouchable()).embed([]) == []
+        assert inner.batches == []

@@ -146,6 +146,20 @@ class TestPrecomputedProvider:
         provider = PrecomputedProvider(store, "text", TEXT_DIM)
         assert np.array_equal(embed_text("some prompt", provider), vec)
 
+    def test_list_makes_one_get_per_input(self):
+        store = _DictStore()
+        gets = []
+        store.get = lambda key: gets.append(key) or store.vectors.get(key)
+        for i, text in enumerate(["p", "q"]):
+            store.vectors[canonical_hash(text)] = (
+                "offline", np.full(TEXT_DIM, i, dtype=np.float32))
+        provider = PrecomputedProvider(store, "text", TEXT_DIM)
+        vectors = embed_text(["q", "p", "q"], provider)
+        assert [float(vec[0]) for vec in vectors] == [1.0, 0.0, 1.0]
+        assert gets == [canonical_hash(t) for t in ["q", "p", "q"]]
+        assert embed_text([], provider) == []
+        assert len(gets) == 3
+
     def test_missing_entry(self):
         provider = PrecomputedProvider(_DictStore(), "text", TEXT_DIM)
         with pytest.raises(ProviderError):

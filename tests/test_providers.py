@@ -1,23 +1,34 @@
 """The embedding layer's speed-ups change no output bit: the synthetic
-providers against a copy of their original embed loop, and the encode
-matrices against a row-by-row reference, with each distinct input embedded
-once."""
+providers, one input or a batch, against a copy of their original embed
+loop and across BLAS thread counts, and the encode matrices against a
+row-by-row reference, with each distinct input embedded once."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nanocorona
 from nanocorona.cache import CachedProvider, EmbeddingStore
 from nanocorona.encode import protein_matrix, text_matrix
+from nanocorona.errors import ProviderError
 from nanocorona.prompts import render_prompt
 from nanocorona.providers import (
+    BATCH,
+    GROUP,
     EmbeddingProvider,
     SyntheticProteinProvider,
     SyntheticTextProvider,
     _bucket,
+    as_batch,
     embed_protein,
     embed_text,
 )
@@ -57,11 +68,16 @@ def text_inputs(rng) -> list[str]:
             for n in rng.integers(2, 40, 12)] + ["gold"]
 
 
-@pytest.mark.parametrize("cls, make_inputs", [
-    (SyntheticProteinProvider, protein_inputs),
-    (SyntheticTextProvider, text_inputs)])
+@pytest.mark.parametrize("cls, make_inputs, batched", [
+    pytest.param(cls, make_inputs, batched,
+                 id=f"{cls.__name__}-{make_inputs.__name__}"
+                    + ("-batch" if batched else ""))
+    for batched in (False, True)
+    for cls, make_inputs in ((SyntheticProteinProvider, protein_inputs),
+                             (SyntheticTextProvider, text_inputs))])
 @pytest.mark.parametrize("seed", [0, 11])
-def test_embed_matches_reference_bit_for_bit(cls, make_inputs, seed):
+def test_embed_matches_reference_bit_for_bit(cls, make_inputs, batched,
+                                             seed):
     inputs = make_inputs(np.random.default_rng(seed))
     provider, reference = cls(seed), cls(seed)
     assert any(max(Counter(provider._tokens(t)).values()) > 1
@@ -70,9 +86,78 @@ def test_embed_matches_reference_bit_for_bit(cls, make_inputs, seed):
     # one instance serves every input, then every input again: the second
     # pass runs entirely on the warm bucket memo
     for _ in range(2):
+        if batched:
+            vectors = provider.embed(inputs)
+            assert len(vectors) == len(inputs)
+            for text, vec in zip(inputs, vectors):
+                assert_bits_equal(vec, reference_embed(reference, text))
+            continue
         for text in inputs:
             assert_bits_equal(provider.embed(text),
                               reference_embed(reference, text))
+
+
+@pytest.mark.parametrize("cls, alphabet", [
+    (SyntheticProteinProvider, "ACDEFGHIKLMNPQRSTVWY"),
+    (SyntheticTextProvider, "ab ")])
+def test_batches_and_bucket_groups_match_reference(cls, alphabet):
+    # more than BATCH inputs and more than GROUP used buckets in one call;
+    # one input repeated within the call and once more in a later batch
+    rng = np.random.default_rng(7)
+    inputs = [random_sequence(rng, int(n), alphabet).strip() or "a"
+              for n in rng.integers(3, 40, 2 * BATCH + 3)]
+    inputs[BATCH + 1] = inputs[5] = inputs[0]
+    provider, reference = cls(3), cls(3)
+    used = set().union(*(provider._counts(t) for t in inputs))
+    assert len(used) > GROUP
+    vectors = provider.embed(inputs)
+    assert len(vectors) == len(inputs)
+    for text, vec in zip(inputs, vectors):
+        assert_bits_equal(vec, reference_embed(reference, text))
+
+
+def vector_digest(inputs: dict) -> str:
+    """sha256 over the float32 bytes of each modality's vectors, seed 3."""
+    digest = hashlib.sha256()
+    for cls in (SyntheticProteinProvider, SyntheticTextProvider):
+        for vec in cls(3).embed(inputs[cls.modality]):
+            digest.update(vec.tobytes())
+    return digest.hexdigest()
+
+
+def test_vectors_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # stores are shared across hosts and the product runs through BLAS, so
+    # a one-thread process must make the same bytes as this one
+    rng = np.random.default_rng(9)
+    inputs = {"protein": [random_sequence(rng, int(n))
+                          for n in rng.integers(3, 300, 40)],
+              "text": text_inputs(rng) * 3}
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps(inputs))
+    script = ("import json, sys\n"
+              "from test_providers import vector_digest\n"
+              "print(vector_digest(json.load(open(sys.argv[1]))))\n")
+    tests_dir = str(Path(__file__).parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [tests_dir, os.path.dirname(nanocorona.__path__[0])])}
+    result = subprocess.run([sys.executable, "-c", script, str(path)],
+                            env=env, capture_output=True, text=True,
+                            timeout=300, check=True)
+    assert result.stdout.strip() == vector_digest(inputs)
+
+
+def test_embed_checks_modality_and_every_input_before_the_provider():
+    provider = CountingProvider(SyntheticTextProvider(0))
+    with pytest.raises(ProviderError, match="empty"):
+        embed_text(["gold", ""], provider)
+    with pytest.raises(ProviderError, match="not a protein"):
+        embed_protein(["ACDE"], provider)
+    assert not provider.calls
+    assert embed_text([], provider) == []
+    vectors = embed_text(["gold", "silica"], provider)
+    assert provider.calls == Counter(["gold", "silica"])
+    assert_bits_equal(vectors[1], SyntheticTextProvider(0).embed("silica"))
 
 
 class CountingProvider(EmbeddingProvider):
@@ -85,9 +170,9 @@ class CountingProvider(EmbeddingProvider):
         self.dim = inner.dim
         self.calls: Counter = Counter()
 
-    def embed(self, text: str) -> np.ndarray:
-        self.calls[text] += 1
-        return self.inner.embed(text)
+    def embed(self, texts):
+        self.calls.update(as_batch(texts)[0])
+        return self.inner.embed(texts)
 
 
 @pytest.fixture()

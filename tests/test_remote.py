@@ -16,8 +16,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from nanocorona.cache import CachedProvider, EmbeddingStore
 from nanocorona.errors import (DimensionError, HttpError, ProviderError,
                                TimeoutExhaustedError)
+from nanocorona.prompts import canonical_hash
+from nanocorona.providers import BATCH
 from nanocorona.remote import RemoteProvider, remote_embed
 
 DIM = 8
@@ -207,6 +210,52 @@ class TestRemoteProvider:
             provider.connection.close()
         assert len(server.requests) == 4
         assert server.connections == connections
+
+    @pytest.mark.parametrize("server, connections", [
+        ("keep_alive_server", 1), ("mock_server", 4)])
+    def test_list_makes_one_request_per_input(self, server, connections,
+                                              request):
+        server = request.getfixturevalue(server)
+        server.script = [_ok([float(i)] * DIM) for i in range(4)]
+        provider = RemoteProvider(_endpoint(server), "text", DIM,
+                                  backoff=0.01)
+        texts = [f"prompt {i}" for i in range(4)]
+        try:
+            assert provider.embed([]) == []
+            vectors = provider.embed(texts)
+        finally:
+            provider.connection.close()
+        for i, vec in enumerate(vectors):
+            assert np.array_equal(vec, np.full(DIM, float(i),
+                                               dtype=np.float32))
+        assert [body for _, body in server.requests] == [
+            {"modality": "text", "input": text} for text in texts]
+        assert server.connections == connections
+
+    def test_cached_batch_stores_chunks_before_a_failed_one(
+            self, keep_alive_server, tmp_path):
+        # the last input's request gets a 400: every earlier chunk is
+        # stored, and nothing of the failed chunk, whose first request
+        # succeeded
+        texts = [f"prompt {i}" for i in range(BATCH + 2)]
+        keep_alive_server.script = ([_ok([float(i)] * DIM)
+                                     for i in range(BATCH + 1)]
+                                    + [(400, {"error": "bad request"})])
+        provider = RemoteProvider(_endpoint(keep_alive_server), "text", DIM,
+                                  backoff=0.01)
+        try:
+            with pytest.raises(HttpError, match="400"):
+                CachedProvider(provider, EmbeddingStore(
+                    tmp_path / "emb.bin")).embed(texts)
+        finally:
+            provider.connection.close()
+        assert len(keep_alive_server.requests) == BATCH + 2
+        store = EmbeddingStore(tmp_path / "emb.bin")
+        assert len(store) == BATCH
+        for i, text in enumerate(texts[:BATCH]):
+            assert np.array_equal(store.get(canonical_hash(text))[1],
+                                  np.full(DIM, float(i), dtype=np.float32))
+        assert all(canonical_hash(t) not in store for t in texts[BATCH:])
 
     @pytest.mark.parametrize("retries", [1, 3])
     def test_stale_keep_alive_is_resent_at_once(self, dropping_server,
