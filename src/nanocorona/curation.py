@@ -231,17 +231,18 @@ def impute_numeric_weighted(records: list[SampleRecord], feature_id: str,
     if not observed:
         raise NoDataError(f"feature {feature_id!r} observed nowhere")
 
-    # level 0 = full key, level k = key with k trailing components dropped,
-    # final level = global mean (empty key), which always has an observation
-    levels = [grouping_keys[:len(grouping_keys) - k]
-              for k in range(len(grouping_keys) + 1)]
-    sums: list[dict] = [defaultdict(float) for _ in levels]
-    counts: list[dict] = [defaultdict(int) for _ in levels]
+    # a level is a prefix of a record's group key: the full key first, then
+    # with trailing components dropped, ending at the empty key, the global
+    # mean, which always has an observation.  Prefixes of different lengths
+    # never compare equal, so one dict holds every level.  Each record's
+    # full key is computed once.
+    sums: dict[tuple, float] = defaultdict(float)
+    counts: dict[tuple, int] = defaultdict(int)
     for rec, value in observed:
-        for li, keys in enumerate(levels):
-            gk = _group_key(rec, keys)
-            sums[li][gk] += value
-            counts[li][gk] += 1
+        full = _group_key(rec, grouping_keys)
+        for n in range(len(full) + 1):
+            sums[full[:n]] += value
+            counts[full[:n]] += 1
 
     unit = observed[0][0].features[feature_id].unit
 
@@ -251,11 +252,10 @@ def impute_numeric_weighted(records: list[SampleRecord], feature_id: str,
         if not rec.features.get(feature_id, UNKNOWN).is_unknown:
             out.append(rec)
             continue
-        for li, keys in enumerate(levels):
-            gk = _group_key(rec, keys)
-            if counts[li][gk] > 0:
-                filled = sums[li][gk] / counts[li][gk]
-                break
+        full = _group_key(rec, grouping_keys)
+        gk = next(full[:n] for n in range(len(full), -1, -1)
+                  if full[:n] in counts)
+        filled = sums[gk] / counts[gk]
         out.append(rec.with_feature(feature_id, numeric(filled, unit), flag))
     return out
 

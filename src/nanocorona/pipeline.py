@@ -33,6 +33,7 @@ from .importance import (
 )
 from .metrics import classification_metrics, regression_metrics
 from .providers import (
+    BATCH,
     PROTEIN_DIM,
     TEXT_DIM,
     PrecomputedProvider,
@@ -42,6 +43,7 @@ from .providers import (
 from .remote import RemoteProvider
 from .schema import (
     default_schema,
+    keep_parse,
     load_protein_catalog,
     parse_sample_table,
     validate_corpus,
@@ -277,8 +279,10 @@ def stage_curate(config: dict) -> list[str]:
     report = validate_corpus(curated, catalog)
     flagged = {issue.sample_id for issue in report.issues}
     curated_path = _out(config, "curated.tsv")
-    write_sample_table([r for r in curated if r.sample_id not in flagged],
-                       curated_path, schema)
+    curated = [r for r in curated if r.sample_id not in flagged]
+    # split and later stages parse curated.tsv: give them these records
+    keep_parse(write_sample_table(curated, curated_path, schema), curated,
+               schema)
     validation_path = _out(config, "validation.json")
     write_json_atomic(validation_path,
                       {"total": report.total, "valid": report.valid,
@@ -358,14 +362,18 @@ def _scorable(view) -> bool:
 
 
 def stage_embed(config: dict) -> list[str]:
-    """Pre-encode every unique sequence and prompt into the cache."""
+    """Pre-encode every unique sequence and prompt into the cache, BATCH
+    inputs per call; the vectors returned are dropped, so memory does not
+    grow with the number of inputs."""
     schema, catalog, providers = load_encoding(config)
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     sequences = sorted({protein_sequence(catalog, r.protein_accession)
                         for r in records})
     prompts = sorted(distinct_prompts(records, schema)[0])
-    providers.protein.embed(sequences)
-    providers.text.embed(prompts)
+    for provider, inputs in ((providers.protein, sequences),
+                             (providers.text, prompts)):
+        for start in range(0, len(inputs), BATCH):
+            provider.embed(inputs[start:start + BATCH])
     stats_path = _out(config, "embed_stats.json")
     write_json_atomic(stats_path, {"unique_sequences": len(sequences),
                                    "unique_prompts": len(prompts)}, indent=1)

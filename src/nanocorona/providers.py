@@ -18,11 +18,10 @@ MODALITY_TEXT = "text"
 
 
 # the synthetic encoders sum at most BATCH inputs per count-matrix product,
-# and stack the directions of at most GROUP used buckets at a time; both
-# bound the float64 work arrays (2 MB of text directions) whatever the size
-# of a call, and CachedProvider sends its misses in chunks of BATCH
+# and keep their directions in float64 blocks of GROUP rows (4 MB of text
+# directions each); CachedProvider sends its misses in chunks of BATCH
 BATCH = 32
-GROUP = 64
+GROUP = 128
 
 
 def as_batch(texts: str | list[str]) -> tuple[list[str], bool]:
@@ -59,16 +58,24 @@ class _HashedProjectionProvider(EmbeddingProvider):
     bucket is hashed once per instance; the memo holds one entry per distinct
     token seen, which is bounded by the vocabulary of the inputs embedded.
 
-    A call embeds its inputs BATCH at a time as one float64 product: a count
-    matrix, one row per input and one column per used bucket in ascending
-    order, times those buckets' directions, stacked GROUP at a time into one
-    scratch that the call reuses (one kept on the provider slowed later
-    stages that embed nothing, such as a paper-size eval on a warm store,
-    by about 15%).  Each row is then normalised and cast to float32.  The
-    tests check the vectors bit for bit against the original per-bucket
-    loop, one input at a time and in batches, and across BLAS thread
-    counts: BLAS does not fix the order in which it adds the float64 terms,
-    and those checks guard that the sums still round to the same float32.
+    Directions are float64 rows of blocks of GROUP rows, filled in the order
+    buckets are first used and allocated a block at a time; `_directions`
+    maps each bucket to its row, a view into its block.  A call embeds its
+    inputs BATCH at a time as one float64 product: a count matrix, one row
+    per input, times the directions.  When the call uses at least half of
+    the rows filled so far, the matrix has one column per filled row (zero
+    where the call does not use it) and multiplies the blocks in place;
+    otherwise it has one column per used bucket in ascending order and the
+    used directions are copied, GROUP at a time, into one scratch that the
+    call reuses (one kept on the provider slowed later stages that embed
+    nothing by about 15%).  Copying nearly every row on every call cost as
+    much as the products, and multiplying whole blocks for a call that uses
+    a quarter of them made the call slower.  Each row is then normalised
+    and cast to float32.  The tests check the vectors bit for bit against the
+    original per-bucket loop on both paths, one input at a time and in
+    batches, and across BLAS thread counts: BLAS does not fix the order in
+    which it adds the float64 terms, and those checks guard that the sums
+    still round to the same float32.
     """
 
     n_buckets: int
@@ -76,6 +83,8 @@ class _HashedProjectionProvider(EmbeddingProvider):
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._directions: dict[int, np.ndarray] = {}
+        self._rows: dict[int, int] = {}
+        self._blocks: list[np.ndarray] = []
         self._buckets: dict[str, int] = {}
 
     def _tokens(self, text: str) -> list[str]:
@@ -84,9 +93,14 @@ class _HashedProjectionProvider(EmbeddingProvider):
     def _direction(self, bucket: int) -> np.ndarray:
         cached = self._directions.get(bucket)
         if cached is None:
+            row = len(self._rows)
+            if row % GROUP == 0:
+                self._blocks.append(np.empty((GROUP, self.dim)))
+            cached = self._blocks[-1][row % GROUP]
             rng = np.random.default_rng([self.seed, bucket])
-            cached = rng.standard_normal(self.dim)
+            rng.standard_normal(out=cached)
             self._directions[bucket] = cached
+            self._rows[bucket] = row
         return cached
 
     def _counts(self, text: str) -> dict[int, int]:
@@ -112,19 +126,25 @@ class _HashedProjectionProvider(EmbeddingProvider):
     def _project(self, counts: list[dict[int, int]]) -> list[np.ndarray]:
         """The unit float32 vector of each input's bucket counts."""
         used = sorted(set().union(*counts))
-        column = {b: j for j, b in enumerate(used)}
-        matrix = np.zeros((len(counts), len(used)))
+        for b in used:
+            self._direction(b)
+        filled = len(self._rows)
+        if 2 * len(used) >= filled:
+            column, blocks = self._rows, (
+                block[:filled - start] for start, block in
+                zip(range(0, filled, GROUP), self._blocks))
+        else:
+            column = {b: j for j, b in enumerate(used)}
+            blocks = self._gathered(used)
+        matrix = np.zeros((len(counts), len(column)))
         for row, bucket_counts in zip(matrix, counts):
             row[[column[b] for b in bucket_counts]] = list(
                 bucket_counts.values())
         sums = np.zeros((len(counts), self.dim))
-        scratch = np.empty((min(GROUP, len(used)), self.dim))
-        for start in range(0, len(used), GROUP):
-            group = used[start:start + GROUP]
-            block = scratch[:len(group)]
-            for j, b in enumerate(group):
-                block[j] = self._direction(b)
-            sums += matrix[:, start:start + len(group)] @ block
+        start = 0
+        for block in blocks:
+            sums += matrix[:, start:start + len(block)] @ block
+            start += len(block)
         vectors = []
         for vec in sums:
             norm = np.linalg.norm(vec)
@@ -132,6 +152,17 @@ class _HashedProjectionProvider(EmbeddingProvider):
                 raise ProviderError("degenerate input: zero embedding")
             vectors.append((vec / norm).astype(np.float32))
         return vectors
+
+    def _gathered(self, used: list[int]):
+        """The directions of `used`, copied GROUP at a time into one scratch
+        that each next block overwrites."""
+        scratch = np.empty((min(GROUP, len(used)), self.dim))
+        for start in range(0, len(used), GROUP):
+            group = used[start:start + GROUP]
+            block = scratch[:len(group)]
+            for j, b in enumerate(group):
+                block[j] = self._directions[b]
+            yield block
 
 
 class SyntheticProteinProvider(_HashedProjectionProvider):

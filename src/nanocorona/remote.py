@@ -4,14 +4,15 @@ Protocol: POST <endpoint>/embed with JSON {"modality": ..., "input": ...};
 response JSON {"dim": N, "vector": [N floats]}.  4xx is non-retryable; 5xx,
 timeouts and connection errors are retried with exponential backoff.
 
-The client is the standard library's `http.client`.  The endpoint is dialled
-directly (proxy environment variables are not read), and `https://` uses the
-default SSL context.
+The client is the standard library's `http.client`, imported when the first
+connection is built, so importing this module does not load it (nor the
+`email` and `ssl` modules it pulls in).  The endpoint is dialled directly
+(proxy environment variables are not read), and `https://` uses the default
+SSL context.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
 from urllib.parse import urlsplit
@@ -30,10 +31,12 @@ class EmbedConnection:
 
     The socket stays open across calls while the server keeps it alive
     (HTTP/1.1); after a response that says it will close, `http.client`
-    opens a new one on the next call.
+    opens a new one on the next call.  `errors` are the exceptions a failed
+    exchange raises: socket errors and `http.client`'s own.
     """
 
     def __init__(self, endpoint: str, timeout: float):
+        import http.client
         parts = urlsplit(endpoint)
         try:
             port = parts.port
@@ -44,6 +47,7 @@ class EmbedConnection:
                                 f"or https:// URL with a host")
         factory = (http.client.HTTPSConnection if parts.scheme == "https"
                    else http.client.HTTPConnection)
+        self.errors = (OSError, http.client.HTTPException)
         self.url = endpoint.rstrip("/") + "/embed"
         self._path = parts.path.rstrip("/") + "/embed"
         self._http = factory(parts.hostname, port, timeout=timeout)
@@ -66,11 +70,11 @@ class EmbedConnection:
                 self._http.close()
                 response = self._send(body)
             return response.status, response.read()
-        except (OSError, http.client.HTTPException):
+        except self.errors:
             self._http.close()
             raise
 
-    def _send(self, body: bytes) -> http.client.HTTPResponse:
+    def _send(self, body: bytes):
         self._http.request("POST", self._path, body, _HEADERS)
         return self._http.getresponse()
 
@@ -122,7 +126,7 @@ def remote_embed(endpoint: str, modality: str, input_text: str, dim: int,
             except TimeoutError as exc:
                 last_transient = f"timeout: {exc}"
                 continue
-            except (OSError, http.client.HTTPException) as exc:
+            except conn.errors as exc:
                 last_transient = f"connection error: {exc}"
                 continue
             if status == 200:

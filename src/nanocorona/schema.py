@@ -312,8 +312,9 @@ def _split_tsv(raw: bytes, path, required: tuple[str, ...]):
     return header, rows()
 
 
-# The last sample table parsed: ((sha256 of its bytes, schema.features),
-# its records).  One entry, so a process keeps no table but the latest.
+# The last sample table parsed, or written and handed over by keep_parse:
+# ((sha256 of its bytes, schema.features), its records).  One entry, so a
+# process keeps no table but the latest.
 _last_parse: tuple = (None, [])
 
 
@@ -322,11 +323,12 @@ def parse_sample_table(path, schema: FeatureSchema) -> list[SampleRecord]:
 
     The last table parsed is kept, keyed by the sha256 of the file's bytes
     and the schema's features, so parsing the same content again returns a
-    new list of the same records.  Records are shared and read-only: no
-    caller may mutate a record's `features` in place (`with_feature` and
-    `dataclasses.replace` copy).  Within one parse, equal cells of a column
-    share one FeatureValue and equal fill_flags cells one frozenset.  A
-    parse that raises keeps nothing.
+    new list of the same records; `keep_parse` hands over the records a
+    writer has just written in the same way.  Records are shared and
+    read-only: no caller may mutate a record's `features` in place
+    (`with_feature` and `dataclasses.replace` copy).  Within one parse,
+    equal cells of a column share one FeatureValue and equal fill_flags
+    cells one frozenset.  A parse that raises keeps nothing.
     """
     global _last_parse
     with open(path, "rb") as fh:
@@ -387,24 +389,96 @@ def write_json_atomic(path, obj, **dump_kwargs) -> None:
     write_atomic(path, json.dumps(obj, **dump_kwargs))
 
 
+def _table_text(header, rows, sep: str) -> str:
+    return "".join(sep.join(["" if v is None else str(v) for v in row]) + "\n"
+                   for row in itertools.chain([header], rows))
+
+
 def write_table(path, header, rows, sep: str = "\t"):
     """write_atomic of the header, then each row, a line each: a value as
     str() of it, None as empty.  Every row is formatted first; returns path."""
-    lines = [sep.join(["" if v is None else str(v) for v in row]) + "\n"
-             for row in itertools.chain([header], rows)]
-    write_atomic(path, "".join(lines))
+    write_atomic(path, _table_text(header, rows, sep))
     return path
 
 
-def write_sample_table(records: list[SampleRecord], path, schema: FeatureSchema) -> None:
-    """Write records to TSV in schema order; inverse of parse_sample_table."""
+def write_sample_table(records: list[SampleRecord], path,
+                       schema: FeatureSchema) -> bytes:
+    """Write records to TSV in schema order; inverse of parse_sample_table.
+    Returns the bytes written."""
     feature_ids = schema.feature_ids
-    write_table(path, BOOKKEEPING_COLUMNS + feature_ids, (
+    raw = _table_text(BOOKKEEPING_COLUMNS + feature_ids, (
         [rec.sample_id, rec.study_id, rec.group_id, rec.origin_id,
          rec.protein_accession, rec.rpa, ";".join(sorted(rec.fill_flags)),
          "1" if rec.is_filled_variant else "0",
          *[rec.features.get(fid, UNKNOWN).to_cell() for fid in feature_ids]]
-        for rec in records))
+        for rec in records), "\t").encode("utf-8")
+    write_atomic(path, raw)
+    return raw
+
+
+def keep_parse(raw: bytes, records: list[SampleRecord],
+               schema: FeatureSchema) -> None:
+    """Make `records` the kept parse of `raw`, the bytes write_sample_table
+    wrote of them, when those bytes parse back to records equal to them
+    (`_parses_back`): the next parse of that content then reads no row."""
+    global _last_parse
+    if _parses_back(records, schema):
+        _last_parse = ((hashlib.sha256(raw).digest(), schema.features),
+                       list(records))
+
+
+def _parses_back(records: list[SampleRecord], schema: FeatureSchema) -> bool:
+    """Whether parse_sample_table, given the bytes write_sample_table makes
+    of `records`, returns records equal to them, of the same types and
+    with each record's features in schema order.  Each cell must stay in
+    its row and column (a printable string holds no tab or line break) and
+    parse back to what was written.  Each distinct value object of a
+    column is checked once, so the check costs a fraction of a parse."""
+    feature_ids = schema.feature_ids
+    rows, flag_sets = [], {}
+    for rec in records:
+        features = rec.features
+        if not (type(features) is dict and tuple(features) == feature_ids
+                and all(type(v) is str and v.isprintable()
+                        for v in (rec.sample_id, rec.study_id, rec.group_id,
+                                  rec.origin_id, rec.protein_accession))
+                and (rec.rpa is None or type(rec.rpa) is float
+                     and math.isfinite(rec.rpa))
+                and type(rec.is_filled_variant) is bool
+                and type(rec.fill_flags) is frozenset):
+            return False
+        flag_sets[id(rec.fill_flags)] = rec.fill_flags
+        rows.append(tuple(features.values()))
+    if not all(type(f) is str and f and f.isprintable() and ";" not in f
+               and f == f.strip() for f in set().union(*flag_sets.values())):
+        return False
+    return all(_cell_parses_back(value, fdef)
+               for fdef, column in zip(schema.features, zip(*rows))
+               for value in dict(zip(map(id, column), column)).values())
+
+
+_VALUE_KINDS = {CATEGORICAL: "categorical", FREE_TEXT: "text",
+                NUMERIC: "numeric"}
+
+
+def _cell_parses_back(value: FeatureValue, fdef: FeatureDef) -> bool:
+    """Whether _parse_cell(value.to_cell(), fdef) == value, without building
+    a value: text that parsing would not strip, a finite float (its repr
+    reads back exactly), and a unit that is written or is the column's."""
+    if type(value) is not FeatureValue:
+        return False
+    kind, text, number, unit = value.kind, value.text, value.number, value.unit
+    if kind == "unknown":
+        return text is None and number is None and unit is None
+    if kind != _VALUE_KINDS.get(fdef.kind):
+        return False
+    if kind == "numeric":
+        return text is None and type(number) is float \
+            and math.isfinite(number) and (
+                type(unit) is str and unit.isprintable()
+                and unit == unit.strip() if unit else unit == fdef.unit)
+    return number is None and unit is None and type(text) is str \
+        and text.isprintable() and text == text.strip() and text != ""
 
 
 def load_protein_catalog(path) -> ProteinCatalog:

@@ -176,7 +176,8 @@ class TestEndToEnd:
     def test_run_all_parses_each_sample_table_once(self, tmp_path, schema,
                                                    monkeypatch):
         # counted inside schema: a full parse splits the file's rows, a
-        # parse of content already kept does not
+        # parse of content already kept does not, and curate keeps the
+        # records it writes to curated.tsv
         parsed = []
         split_tsv = schema_module._split_tsv
 
@@ -189,7 +190,7 @@ class TestEndToEnd:
         monkeypatch.setattr(schema_module, "_last_parse", (None, []))
         _, config = make_workspace(tmp_path, schema)
         pipeline.run_end_to_end(config)
-        assert parsed == ["corpus.tsv", "curated.tsv"]
+        assert parsed == ["corpus.tsv"]
 
     def test_rerun_is_digest_identical(self, tmp_path, schema):
         _, config = make_workspace(tmp_path, schema, out_name="out1")

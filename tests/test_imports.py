@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import ast
 import collections
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -207,3 +209,21 @@ def test_files_are_written_only_through_the_one_writer():
     writers = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
                for name in opens_for_writing(path.read_text(encoding="utf-8"))}
     assert writers == {"schema.write_atomic", "cache.EmbeddingStore.put"}
+
+
+def test_importing_the_program_leaves_the_http_client_unloaded():
+    # the remote client imports http.client, which pulls in email and ssl,
+    # when it builds its first connection: a run that never dials a service
+    # does not pay for those imports at start-up
+    modules = sorted(path.stem for path in SRC.glob("*.py")
+                     if path.stem != "__init__")
+    script = ("import importlib, sys\n"
+              "for name in sys.argv[1:]:\n"
+              "    importlib.import_module('nanocorona.' + name)\n"
+              "print(' '.join(m for m in ('http.client', 'email', 'ssl')\n"
+              "               if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    result = subprocess.run([sys.executable, "-c", script, *modules],
+                            env=env, capture_output=True, text=True,
+                            timeout=120, check=True)
+    assert result.stdout.strip() == ""

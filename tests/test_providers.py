@@ -147,6 +147,93 @@ def test_vectors_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert result.stdout.strip() == vector_digest(inputs)
 
 
+def spy_gathered(provider) -> list[int]:
+    """The used-bucket count of each product that gathers its directions;
+    a product that multiplies the blocks in place appends nothing."""
+    calls: list[int] = []
+    gathered = provider._gathered
+
+    def spy(used):
+        calls.append(len(used))
+        return gathered(used)
+
+    provider._gathered = spy
+    return calls
+
+
+def product_paths(cls, seed: int) -> list[str]:
+    """Embed through both product paths of one fresh provider, checking
+    every vector bit for bit against reference_embed; returns the path of
+    the first, second and last calls.
+
+    The first call leaves its only block part filled.  The second sends
+    those inputs again with new ones in one product, so it uses every
+    filled row, in place, and its new rows cross into later blocks.  After
+    a large fill, the last call uses a few rows, some of them new, well
+    under half of those filled, and gathers them."""
+    rng = np.random.default_rng(seed)
+    alphabet = "abcd " if cls is SyntheticTextProvider else "ACDEFGHIKLMNPQ"
+
+    def sample(n: int, length: int) -> list[str]:
+        return [random_sequence(rng, length, alphabet).strip() or "a"
+                for _ in range(n)]
+
+    provider, reference = cls(seed), cls(seed)
+    first, more = sample(4, 12), sample(BATCH - 4, 40)
+    calls = (first, first + more, sample(2 * BATCH, 200), ["KLMNP", "WWWY"])
+    gathered = spy_gathered(provider)
+    paths = []
+    for inputs in calls:
+        before = len(gathered)
+        vectors = provider.embed(inputs)
+        paths.append("gathered" if len(gathered) > before else "in place")
+        for text, vec in zip(inputs, vectors):
+            assert_bits_equal(vec, reference_embed(reference, text))
+        if inputs is first:
+            assert 0 < len(provider._rows) < GROUP
+        if inputs is calls[1]:
+            assert len(provider._rows) > GROUP
+    assert len(provider._blocks) > 2
+    return [paths[0], paths[1], paths[-1]]
+
+
+@pytest.mark.parametrize("cls", [SyntheticProteinProvider,
+                                 SyntheticTextProvider])
+def test_both_product_paths_match_reference(cls):
+    assert product_paths(cls, 5) == ["in place", "in place", "gathered"]
+
+
+def test_directions_are_views_into_their_blocks():
+    provider = SyntheticTextProvider(4)
+    provider.embed([f"w{i} x{i} y{i}" for i in range(3 * GROUP)])
+    assert len(provider._directions) == len(provider._rows) > 2 * GROUP
+    assert all(block.shape == (GROUP, provider.dim)
+               for block in provider._blocks)
+    for bucket, row in provider._rows.items():
+        vec = provider._directions[bucket]
+        assert vec.base is provider._blocks[row // GROUP]
+        assert np.shares_memory(vec, provider._blocks[row // GROUP][
+            row % GROUP])
+        assert vec.nbytes == provider.dim * 8
+
+
+def test_product_paths_on_one_blas_thread(tmp_path):
+    # the same bits through both paths when BLAS sums on one thread
+    script = ("from test_providers import product_paths\n"
+              "from nanocorona.providers import SyntheticProteinProvider,"
+              " SyntheticTextProvider\n"
+              "for cls in (SyntheticProteinProvider, SyntheticTextProvider):\n"
+              "    print(','.join(product_paths(cls, 5)))\n")
+    tests_dir = str(Path(__file__).parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [tests_dir, os.path.dirname(nanocorona.__path__[0])])}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300,
+                            check=True)
+    assert result.stdout.splitlines() == ["in place,in place,gathered"] * 2
+
+
 def test_embed_checks_modality_and_every_input_before_the_provider():
     provider = CountingProvider(SyntheticTextProvider(0))
     with pytest.raises(ProviderError, match="empty"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -19,12 +20,15 @@ from nanocorona.errors import (
 from nanocorona.schema import (
     BOOKKEEPING_COLUMNS,
     UNKNOWN,
+    FeatureValue,
     ProteinCatalog,
     ProteinRecord,
     SampleRecord,
     ValidationReport,
     categorical,
     default_schema,
+    free_text,
+    keep_parse,
     load_protein_catalog,
     numeric,
     parse_sample_table,
@@ -211,6 +215,118 @@ class TestParseOnce:
         (again,) = parse_sample_table(good, schema)
         assert again is kept
 
+
+
+def _kept_records(schema):
+    rng = np.random.default_rng(4)
+    return [SampleRecord(
+        sample_id=f"s{i}", study_id="st", group_id="g", origin_id=f"o{i}",
+        features=base_features(schema, rng), protein_accession=f"P{i:05d}",
+        rpa=None if i == 0 else 0.1 * i,
+        fill_flags=frozenset({"local_fill", "imputed:pdi"}) if i == 1
+        else frozenset(),
+        is_filled_variant=i == 1) for i in range(3)]
+
+
+def _perturbed(rec):
+    """(name, record, whether it parses back), each record one change away
+    from `rec`."""
+    def feature(fid, value):
+        return replace(rec, features={**rec.features, fid: value})
+
+    reordered = dict(reversed(list(rec.features.items())))
+    dropped = {k: v for k, v in rec.features.items() if k != "shape"}
+    return [
+        ("unchanged", rec, True),
+        ("other unit", feature("dls_size", numeric(12.0, "um")), True),
+        ("padded categorical", feature("core", categorical(" gold ")), False),
+        ("empty categorical", feature("core", categorical("")), False),
+        ("unit-less numeric", feature("dls_size", numeric(12.0)), False),
+        ("integer number", feature("dls_size", FeatureValue(
+            kind="numeric", number=12, unit="nm")), False),
+        ("nan", feature("dls_size", numeric(float("nan"), "nm")), False),
+        ("tab in categorical", feature("core", categorical("go\tld")), False),
+        ("padded free text", feature("primary_size", free_text("80 ")),
+         False),
+        ("categorical in a numeric column", feature("dls_size",
+                                                    categorical("12")), False),
+        ("numeric with text", feature("dls_size", FeatureValue(
+            kind="numeric", text="x", number=12.0, unit="nm")), False),
+        ("unit with a space", feature("dls_size", numeric(12.0, "n m")),
+         True),
+        ("padded unit", feature("dls_size", numeric(12.0, "nm ")), False),
+        ("unknown with text", feature("core", FeatureValue(
+            kind="unknown", text="gold")), False),
+        ("features reordered", replace(rec, features=reordered), False),
+        ("feature missing", replace(rec, features=dropped), False),
+        ("tab in sample id", replace(rec, sample_id="s\t1"), False),
+        ("line break in origin", replace(rec, origin_id="o\u20281"), False),
+        ("padded group", replace(rec, group_id=" g"), True),
+        ("numpy rpa", replace(rec, rpa=np.float64(0.5)), False),
+        ("integer rpa", replace(rec, rpa=1), False),
+        ("flag with separator", replace(rec, fill_flags=frozenset({"a;b"})),
+         False),
+        ("padded flag", replace(rec, fill_flags=frozenset({" a"})), False),
+        ("integer variant flag", replace(rec, is_filled_variant=1), False),
+    ]
+
+
+def _same_records(parsed, records) -> bool:
+    """Equal, with features in the same order and every number, flag and
+    rpa of the same type."""
+    def types(rec):
+        return ([type(v.number) for v in rec.features.values()],
+                type(rec.rpa), type(rec.is_filled_variant))
+
+    return parsed == records and all(
+        list(p.features) == list(r.features) and types(p) == types(r)
+        for p, r in zip(parsed, records))
+
+
+class TestKeepParse:
+    """stage_curate hands the records it writes to the next parse of
+    curated.tsv; that is sound only when those bytes parse back to them."""
+
+    @pytest.fixture(autouse=True)
+    def no_kept_table(self, monkeypatch):
+        monkeypatch.setattr(schema_module, "_last_parse", (None, []))
+
+    def test_kept_records_are_returned_without_reading_rows(
+            self, tmp_path, schema, monkeypatch):
+        records = _kept_records(schema)
+        path = tmp_path / "curated.tsv"
+        keep_parse(write_sample_table(records, path, schema), records, schema)
+        monkeypatch.setattr(schema_module, "_split_tsv", None)  # unused
+        again = parse_sample_table(path, schema)
+        assert again == records
+        assert all(a is b for a, b in zip(again, records))
+
+    def test_round_trip_check_agrees_with_a_parse(self, tmp_path, schema):
+        # each record that keep_parse would keep parses back equal, with
+        # its features in schema order; each it refuses does not
+        base = _kept_records(schema)
+        for name, rec, parses_back in _perturbed(base[1]):
+            records = [base[0], rec]
+            path = tmp_path / "t.tsv"
+            raw = write_sample_table(records, path, schema)
+            schema_module._last_parse = (None, [])
+            try:
+                same = _same_records(parse_sample_table(path, schema),
+                                     records)
+            except (BadNumberError, RowShapeError):
+                same = False
+            assert same is parses_back, name
+            assert schema_module._parses_back(records, schema) is same, name
+            schema_module._last_parse = (None, [])
+            keep_parse(raw, records, schema)
+            kept = schema_module._last_parse[1]
+            assert (kept == records if same else kept == []), name
+
+    def test_empty_table_is_kept(self, tmp_path, schema):
+        path = tmp_path / "empty.tsv"
+        keep_parse(write_sample_table([], path, schema), [], schema)
+        assert schema_module._last_parse[0] is not None
+        assert parse_sample_table(path, schema) == []
 
 def _sample_table(path):
     return parse_sample_table(path, default_schema())
