@@ -97,7 +97,8 @@ def run_all(cfg):
               help="Sample table for fine-tuning.")
 def finetune(cfg, checkpoint, data_path):
     """Fine-tune only the prediction head on new data, for the checkpoint's
-    task (regression targets through the run's boxcox.json)."""
+    task (regression targets through the run's boxcox.json), and score the
+    tuned model on the rows fine-tuning held out."""
     schema, catalog, providers = pipeline.load_encoding(cfg)
     records = parse_sample_table(data_path, schema)
     base = model.load_checkpoint(checkpoint)
@@ -111,13 +112,23 @@ def finetune(cfg, checkpoint, data_path):
         view = classification_view(records)
     data = encode_view(view.records, view.labels, schema, catalog,
                        providers, base.config.modality)
-    tuned, history, _ = model.finetune(base, data, base.config)
+    tuned, history, (_, _, idx_test) = model.finetune(base, data,
+                                                      base.config)
     out_path = pipeline._out(cfg, "model_finetuned.ckpt")
     model.save_checkpoint(tuned, out_path)
     hist_path = pipeline._out(cfg, "history_finetuned.json")
     write_json_atomic(hist_path, asdict(history), indent=1)
+    task, labels = base.config.task, data[2][idx_test]
+    scores = model.forward(tuned, *(None if m is None else m.take(idx_test)
+                                    for m in data[:2]))
+    metrics_path = pipeline._out(cfg, "metrics_finetuned.json")
+    write_json_atomic(metrics_path, {
+        "n": len(idx_test), "metric_kind": model.metric_kind(labels, task),
+        "value": model.score(scores, labels, task) if len(labels) else None},
+        indent=1)
     click.echo(out_path)
     click.echo(hist_path)
+    click.echo(metrics_path)
 
 
 @main.command()

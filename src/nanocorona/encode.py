@@ -1,8 +1,16 @@
-"""Record-to-matrix encoding: prompts and sequences through providers."""
+"""Record-to-matrix encoding: prompts and sequences through providers.
+
+A view encodes to one `model.UniqueRows` per modality the model reads: a
+float32 matrix of the view's distinct inputs, each fetched once, and each
+record's row index.  Prompts are found through `PromptCodes`.  A
+`ProviderBundle` lives for one stage: it keeps the stage's prompt codes,
+and the protein rows of the records it encoded last, which every ablation
+mask encodes again.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,31 +20,44 @@ from .model import (
     MODALITY_PROTEIN_ONLY,
     MODALITY_TEXT_ONLY,
     ModelParams,
+    UniqueRows,
     forward,
 )
-from .prompts import render_prompt
+from .prompts import PromptCodes
 from .providers import EmbeddingProvider, embed_protein, embed_text
-from .schema import UNKNOWN, FeatureSchema, ProteinCatalog, SampleRecord
+from .schema import FeatureSchema, ProteinCatalog, SampleRecord
 
 
 @dataclass
 class ProviderBundle:
     protein: EmbeddingProvider
     text: EmbeddingProvider
+    _codes: PromptCodes | None = field(default=None, init=False, repr=False)
+    _proteins: tuple = field(default=(None, None, None), init=False,
+                             repr=False)  # (records, catalog, their rows)
+
+    def prompt_codes(self, schema: FeatureSchema) -> PromptCodes:
+        if self._codes is None or self._codes.schema is not schema:
+            self._codes = PromptCodes(schema)
+        return self._codes
+
+    def protein_rows(self, records: list[SampleRecord],
+                     catalog: ProteinCatalog) -> UniqueRows:
+        """protein_matrix through this bundle's provider, fetched again
+        only when the records or the catalog differ from the last call's."""
+        if self._proteins[1] is not catalog or self._proteins[0] != records:
+            self._proteins = (list(records), catalog,
+                              protein_matrix(records, catalog, self.protein))
+        return self._proteins[2]
 
 
-def _embed_rows(inputs: list[str], index: list[int], embed,
-                provider: EmbeddingProvider) -> np.ndarray:
-    """(len(index), provider.dim) float32 matrix whose row i is
-    embed(inputs[index[i]], provider); every input is embedded in one call."""
-    vectors = embed(inputs, provider)
-    # copy rows straight into the result: gathering them from a stacked
-    # distinct-input matrix frees a large block on every call, and glibc
-    # then serves later large arrays from a heap it keeps resident
-    matrix = np.empty((len(index), provider.dim), dtype=np.float32)
-    for row, i in enumerate(index):
-        matrix[row] = vectors[i]
-    return matrix
+def _unique_rows(inputs: list[str], index, embed,
+                 provider: EmbeddingProvider) -> UniqueRows:
+    """The rows embed(inputs[index[i]], provider); every input is embedded
+    in one call."""
+    unique = np.asarray(embed(inputs, provider), dtype=np.float32)
+    return UniqueRows(unique.reshape(len(inputs), provider.dim),
+                      np.asarray(index, dtype=np.intp))
 
 
 def protein_sequence(catalog: ProteinCatalog, accession: str) -> str:
@@ -47,61 +68,38 @@ def protein_sequence(catalog: ProteinCatalog, accession: str) -> str:
 
 
 def protein_matrix(records: list[SampleRecord], catalog: ProteinCatalog,
-                   provider: EmbeddingProvider) -> np.ndarray:
-    """One row per record, in record order; each distinct accession is
-    embedded once."""
-    accessions = [rec.protein_accession for rec in records]
-    rows = {acc: i for i, acc in enumerate(dict.fromkeys(accessions))}
+                   provider: EmbeddingProvider) -> UniqueRows:
+    """One row per record, in record order, over the distinct accessions
+    in first-seen order."""
+    rows: dict[str, int] = {}
+    index = [rows.setdefault(rec.protein_accession, len(rows))
+             for rec in records]
     sequences = [protein_sequence(catalog, acc) for acc in rows]
-    return _embed_rows(sequences, [rows[acc] for acc in accessions],
-                       embed_protein, provider)
+    return _unique_rows(sequences, index, embed_protein, provider)
 
 
-def distinct_prompts(records: list[SampleRecord], schema: FeatureSchema,
-                     mask_set: frozenset = frozenset()
-                     ) -> tuple[list[str], list[int]]:
-    """(prompts, index): the distinct prompt texts of `records` in
-    first-seen order, and the position of each record's prompt among them.
-
-    render_prompt is a pure function of a record's unmasked feature values
-    and the mask set, so a record is rendered only when the tuple of its
-    unmasked values is new.
-    """
-    feature_ids = [f for f in schema.feature_ids if f not in mask_set]
-    by_values: dict[tuple, int] = {}
-    by_text: dict[str, int] = {}
-    index = []
-    for rec in records:
-        features = rec.features
-        key = tuple([features.get(f, UNKNOWN) for f in feature_ids])
-        row = by_values.get(key)
-        if row is None:
-            text = render_prompt(rec, schema, mask_set).text
-            row = by_values[key] = by_text.setdefault(text, len(by_text))
-        index.append(row)
-    return list(by_text), index
-
-
-def text_matrix(records: list[SampleRecord], schema: FeatureSchema,
+def text_matrix(records: list[SampleRecord], codes: PromptCodes,
                 provider: EmbeddingProvider,
-                mask_set: frozenset = frozenset()) -> np.ndarray:
-    """One row per record, in record order; each distinct prompt is
-    embedded once."""
-    prompts, index = distinct_prompts(records, schema, mask_set)
-    return _embed_rows(prompts, index, embed_text, provider)
+                mask_set: frozenset = frozenset()) -> UniqueRows:
+    """One row per record, in record order, over the distinct prompts in
+    first-seen order."""
+    prompts, index = codes.prompts(records, mask_set)
+    return _unique_rows(prompts, index, embed_text, provider)
 
 
 def encode_view(records: list[SampleRecord], labels: np.ndarray,
                 schema: FeatureSchema, catalog: ProteinCatalog,
                 providers: ProviderBundle, modality: str = MODALITY_FUSED,
                 mask_set: frozenset = frozenset()):
-    """(protein, text, labels) arrays with None for an absent modality."""
+    """(protein, text, labels), a UniqueRows for each modality the model
+    reads and None for the other."""
     protein = None
     text = None
     if modality in (MODALITY_FUSED, MODALITY_PROTEIN_ONLY):
-        protein = protein_matrix(records, catalog, providers.protein)
+        protein = providers.protein_rows(records, catalog)
     if modality in (MODALITY_FUSED, MODALITY_TEXT_ONLY):
-        text = text_matrix(records, schema, providers.text, mask_set)
+        text = text_matrix(records, providers.prompt_codes(schema),
+                           providers.text, mask_set)
     return protein, text, labels
 
 

@@ -198,6 +198,30 @@ def project(embedding: np.ndarray | Tensor, weight: Tensor,
     return projected.reshape(batch, config.tokens, config.token_dim)
 
 
+@dataclass(frozen=True)
+class UniqueRows:
+    """A matrix held as its distinct rows: row i is unique[index[i]].
+    Indexing it gives dense rows, as indexing the matrix would."""
+    unique: np.ndarray
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.unique[self.index[rows]]
+
+    def take(self, rows) -> "UniqueRows":
+        return UniqueRows(self.unique, self.index[rows])
+
+
+# OpenBLAS computes a row of x @ w one of three ways: by gemv for a one-row
+# x, by small-matrix kernels while rows * K * N <= SMALL_GEMM, and by
+# blocked gemm above that; rows computed one way are bit-identical, whatever
+# the other rows are.
+SMALL_GEMM = 10 ** 6
+
+
 def _split_heads(x: Tensor, config: ModelConfig) -> Tensor:
     b, t, _ = x.shape
     h, hd = config.heads, config.head_dim
@@ -246,24 +270,41 @@ def _as_tensors(params: ModelParams, trainable: bool) -> dict:
             for name, arr in params.blocks.items()}
 
 
-def _fuse(params: ModelParams, protein: np.ndarray | None,
-          text: np.ndarray | None, blocks: dict) -> Tensor:
+def _tokens(embedding: np.ndarray | UniqueRows | None, blocks: dict,
+            modality: str, config: ModelConfig) -> Tensor:
+    """One modality's embeddings, checked and projected into tokens.  A
+    UniqueRows whose projection needs no gradient is checked and projected
+    on its distinct rows, padded with zero rows into the BLAS path the whole
+    matrix would take, then gathered: bit-identical to the dense path."""
+    if embedding is None:
+        raise DimensionError(f"{modality} embeddings required")
+    weight, bias = blocks[f"proj_{modality}.W"], blocks[f"proj_{modality}.b"]
+    if isinstance(embedding, UniqueRows) and weight.requires_grad:
+        embedding = embedding[:]
+    if not isinstance(embedding, UniqueRows):
+        _check_finite(embedding, f"{modality} embeddings")
+        return project(embedding, weight, bias, config)
+    x = embedding.unique
+    _check_finite(x, f"{modality} embeddings")
+    (distinct, k), n = x.shape, len(embedding)
+    width = k * weight.shape[1]
+    least = 1 if n == 1 else 2 if n * width <= SMALL_GEMM \
+        else SMALL_GEMM // width + 1
+    if distinct < least:
+        x = np.concatenate([x, np.zeros((least - distinct, k), x.dtype)])
+    return Tensor(project(x, weight, bias, config).data[embedding.index])
+
+
+def _fuse(params: ModelParams, protein: np.ndarray | UniqueRows | None,
+          text: np.ndarray | UniqueRows | None, blocks: dict) -> Tensor:
     """The head's input: each modality projected, then attended."""
     config = params.config
     if config.modality in (MODALITY_FUSED, MODALITY_PROTEIN_ONLY):
-        if protein is None:
-            raise DimensionError("protein embeddings required")
-        _check_finite(protein, "protein embeddings")
-        p_tok = project(protein, blocks["proj_protein.W"],
-                        blocks["proj_protein.b"], config)
+        p_tok = _tokens(protein, blocks, "protein", config)
     if config.modality in (MODALITY_FUSED, MODALITY_TEXT_ONLY):
-        if text is None:
-            raise DimensionError("text embeddings required")
-        _check_finite(text, "text embeddings")
-        x_tok = project(text, blocks["proj_text.W"],
-                        blocks["proj_text.b"], config)
+        x_tok = _tokens(text, blocks, "text", config)
 
-    b = (protein if protein is not None else text).shape[0]
+    b = len(protein if protein is not None else text)
     if config.modality == MODALITY_FUSED:
         p_attends_x = cross_attention(p_tok, x_tok, blocks, "attn_p2t", config)
         x_attends_p = cross_attention(x_tok, p_tok, blocks, "attn_t2p", config)
@@ -279,16 +320,19 @@ def _predict(fused: Tensor, blocks: dict, config: ModelConfig) -> Tensor:
     return out.sigmoid() if config.task == "classification" else out
 
 
-def forward_graph(params: ModelParams, protein: np.ndarray | None,
-                  text: np.ndarray | None, blocks: dict) -> Tensor:
+def forward_graph(params: ModelParams,
+                  protein: np.ndarray | UniqueRows | None,
+                  text: np.ndarray | UniqueRows | None,
+                  blocks: dict) -> Tensor:
     """Build the forward graph on pre-lifted parameter tensors."""
     return _predict(_fuse(params, protein, text, blocks), blocks,
                     params.config)
 
 
-def forward(params: ModelParams, protein: np.ndarray | None,
-            text: np.ndarray | None) -> np.ndarray:
-    """Evaluate the model; classification yields probabilities in (0, 1)."""
+def forward(params: ModelParams, protein: np.ndarray | UniqueRows | None,
+            text: np.ndarray | UniqueRows | None) -> np.ndarray:
+    """Evaluate the model; classification yields probabilities in (0, 1).
+    A UniqueRows input is projected once per distinct row."""
     blocks = _as_tensors(params, trainable=False)
     out = forward_graph(params, protein, text, blocks)
     _check_finite(out.data, "model output")
@@ -501,8 +545,9 @@ def _fit(params: ModelParams, labels: np.ndarray, batch_grads, val_metric,
 def train(data_train, data_val, config: ModelConfig) -> tuple:
     """Mini-batch Adam training with best-val early stopping.
 
-    data_* are (protein, text, labels) with None for an absent modality.
-    Fully deterministic for a fixed (config, data) pair.
+    data_* are (protein, text, labels) with None for an absent modality;
+    each batch is gathered from a UniqueRows input's distinct rows.  Fully
+    deterministic for a fixed (config, data) pair.
     """
     protein, text, labels = data_train
     if len(labels) == 0 or len(data_val[2]) == 0:

@@ -16,13 +16,7 @@ import numpy as np
 from . import curation, model, splits
 from .boxcox import BoxCoxTransform, fit_boxcox
 from .cache import CachedProvider, EmbeddingStore
-from .encode import (
-    ProviderBundle,
-    distinct_prompts,
-    encode_view,
-    predict,
-    protein_sequence,
-)
+from .encode import ProviderBundle, encode_view, protein_sequence
 from .errors import NoDataError, StageError
 from .importance import (
     ablate_feature,
@@ -369,7 +363,7 @@ def stage_embed(config: dict) -> list[str]:
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     sequences = sorted({protein_sequence(catalog, r.protein_accession)
                         for r in records})
-    prompts = sorted(distinct_prompts(records, schema)[0])
+    prompts = sorted(providers.prompt_codes(schema).prompts(records)[0])
     for provider, inputs in ((providers.protein, sequences),
                              (providers.text, prompts)):
         for start in range(0, len(inputs), BATCH):
@@ -412,20 +406,29 @@ def stage_train(config: dict) -> list[str]:
 
 
 def stage_eval(config: dict) -> list[str]:
-    """Score every trained task on every view `_scorable` accepts."""
+    """Score every trained task on every view `_scorable` accepts.  Each
+    split's records are encoded once, for all the tasks that score them."""
     schema, catalog, providers, views, transform = load_views(config)
+    trained = {task: model.load_checkpoint(_out(config, f"model_{task}.ckpt"))
+               for task in _tasks(views)
+               if os.path.exists(_out(config, f"model_{task}.ckpt"))}
     results = {}
     rpa_bin_rows = None
-    for task in _tasks(views):
-        ckpt = _out(config, f"model_{task}.ckpt")
-        if not os.path.exists(ckpt):
+    for split in SPLITS:
+        scored = [(task, views[(task, split)]) for task in trained
+                  if _scorable(views[(task, split)])]
+        if not scored:
             continue
-        params = model.load_checkpoint(ckpt)
-        for split in SPLITS:
-            view = views[(task, split)]
-            if not _scorable(view):
-                continue
-            scores = predict(params, view.records, providers, schema, catalog)
+        members = {id(rec): rec for _, view in scored for rec in view.records}
+        row = {key: i for i, key in enumerate(members)}
+        modalities = {trained[task].config.modality for task, _ in scored}
+        encoded = encode_view(
+            list(members.values()), None, schema, catalog, providers,
+            modalities.pop() if len(modalities) == 1 else model.MODALITY_FUSED)
+        for task, view in scored:
+            rows = [row[id(rec)] for rec in view.records]
+            scores = model.forward(trained[task], *(
+                None if m is None else m.take(rows) for m in encoded[:2]))
             if task == "classification":
                 results[f"{task}/{split}"] = classification_metrics(
                     scores, view.labels)

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import (
     BadNumberError,
@@ -64,9 +65,9 @@ class FeatureDef:
     unit: str | None = None
 
 
-@dataclass(frozen=True)
-class FeatureValue:
-    """Tagged value: categorical text, numeric with unit, free text, or Unknown."""
+class FeatureValue(NamedTuple):
+    """Tagged value: categorical text, numeric with unit, free text, or
+    Unknown.  A tuple, so hashing and comparing one runs in C."""
 
     kind: str  # "categorical" | "numeric" | "text" | "unknown"
     text: str | None = None

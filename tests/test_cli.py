@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import shutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +193,60 @@ class TestEndToEnd:
         _, config = make_workspace(tmp_path, schema)
         pipeline.run_end_to_end(config)
         assert parsed == ["corpus.tsv"]
+
+    def test_run_all_renders_and_fetches_each_distinct_input_once(
+            self, tmp_path, schema, monkeypatch):
+        # per stage: every store get's key and every rendered prompt
+        from nanocorona import cache, prompts
+        stage, gets, renders = [None], {}, {}
+        run_stage, get = pipeline.run_stage, cache.EmbeddingStore.get
+        render = prompts.render_prompt
+
+        def staged(name, *args):
+            stage[0] = name
+            return run_stage(name, *args)
+
+        def counting_get(store, key):
+            gets.setdefault(stage[0], []).append(key)
+            return get(store, key)
+
+        def counting_render(*args):
+            text = render(*args)
+            renders.setdefault(stage[0], []).append(text.text)
+            return text
+
+        monkeypatch.setattr(pipeline, "run_stage", staged)
+        monkeypatch.setattr(cache.EmbeddingStore, "get", counting_get)
+        monkeypatch.setattr(prompts, "render_prompt", counting_render)
+        _, config = make_workspace(tmp_path, schema)
+        pipeline.run_end_to_end(config)
+        _, catalog, _, views, _ = pipeline.load_views(config)
+
+        def keys(records):
+            return {prompts.canonical_hash(text) for text in (
+                *(catalog.lookup(r.protein_accession).sequence
+                  for r in records),
+                *(render(r, schema).text for r in records))}
+
+        # eval encodes each split once for both tasks (the regression view
+        # is a subset of the classification one), and renders a prompt
+        # once in the stage however many splits hold it
+        split_records = [views[("classification", split)].records
+                         for split in pipeline.SPLITS]
+        assert len(renders["eval"]) == len(set(renders["eval"])) == len(
+            {render(r, schema).text for records in split_records
+             for r in records})
+        expected = Counter(key for records in split_records
+                           for key in keys(records))
+        assert Counter(gets["eval"]) == expected
+        # ablate fetches each distinct test-view sequence once, and each
+        # mask renders only prompts not rendered before in the stage
+        test_view = views[("classification", "test")].records
+        sequences = {prompts.canonical_hash(
+            catalog.lookup(r.protein_accession).sequence) for r in test_view}
+        assert Counter(key for key in gets["ablate"] if key in sequences) \
+            == Counter(sequences)
+        assert len(renders["ablate"]) == len(set(renders["ablate"]))
 
     def test_rerun_is_digest_identical(self, tmp_path, schema):
         _, config = make_workspace(tmp_path, schema, out_name="out1")
@@ -574,6 +630,28 @@ class TestCli:
                                    "--out", str(out)])
             assert result.exit_code == 0, result.output
             assert (out / written).exists()
+
+    def test_finetune_scores_its_held_out_rows(self, trained, tmp_path,
+                                               schema):
+        config = copy_run(trained, tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = config["paths"]["out_dir"]
+        result = self._invoke(["finetune", "--config", str(config_path),
+                               "--checkpoint",
+                               os.path.join(out, "model_classification.ckpt"),
+                               "--data", config["paths"]["corpus"]])
+        assert result.exit_code == 0, result.output
+        path = os.path.join(out, "metrics_finetuned.json")
+        assert path in result.output.splitlines()
+        with open(path, encoding="utf-8") as fh:
+            metrics = json.load(fh)
+        n = len(splits.classification_view(
+            parse_sample_table(config["paths"]["corpus"], schema)))
+        held_out = n - round(0.70 * n) - round(0.15 * n)
+        assert metrics["n"] == held_out > 0
+        assert metrics["metric_kind"] == "F1"
+        assert math.isfinite(metrics["value"])
 
     def test_predict_names_a_non_utf8_byte(self, trained, tmp_path):
         config = copy_run(trained, tmp_path)

@@ -25,6 +25,7 @@ from nanocorona.errors import (
 from nanocorona.model import (
     AdamOptimizer,
     ModelConfig,
+    UniqueRows,
     _as_tensors,
     _val_metric,
     attention_probs,
@@ -180,6 +181,72 @@ class TestForward:
         protein[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             forward(params, protein, text)
+
+
+def _unique_view(cfg, rng, n, distinct_protein, distinct_text):
+    """(protein, text) UniqueRows of n rows over the given distinct counts,
+    float32 as providers give them, each distinct row used at least once;
+    None for a modality the model does not read."""
+    def rows(dim, distinct):
+        index = np.concatenate([np.arange(distinct),
+                                rng.integers(0, distinct, n - distinct)])
+        return UniqueRows(rng.standard_normal((distinct, dim))
+                          .astype(np.float32), rng.permutation(index))
+    return (rows(cfg.protein_dim, distinct_protein)
+            if cfg.modality in ("fused", "protein_only") else None,
+            rows(cfg.text_dim, distinct_text)
+            if cfg.modality in ("fused", "text_only") else None)
+
+
+class TestUniqueRowsForward:
+    """forward on distinct rows plus an index equals forward on the dense
+    matrix bit for bit, at the tiny test widths and at the benchmark's
+    64-wide model over provider widths, where the BLAS computes one row,
+    a few rows and many rows in three different ways."""
+
+    # (rows, distinct proteins, distinct prompts): a one-row view, views
+    # where every row shares one prompt, and repeated indices throughout
+    SHAPES = ((1, 1, 1), (91, 58, 1), (91, 5, 1), (91, 3, 2), (91, 58, 19),
+              (7, 7, 3), (40, 2, 40), (2, 1, 1))
+
+    @pytest.mark.parametrize("widths", [(12, 16, 8, 2, 2),
+                                        (2560, 4096, 64, 8, 8)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("modality",
+                             ["fused", "protein_only", "text_only"])
+    def test_matches_row_major_forward(self, modality, dtype, widths):
+        protein_dim, text_dim, d_shared, tokens, heads = widths
+        cfg = ModelConfig(protein_dim=protein_dim, text_dim=text_dim,
+                          d_shared=d_shared, tokens=tokens, heads=heads,
+                          mlp_hidden=(6, 4), modality=modality, dtype=dtype)
+        params = init_params(cfg)
+        rng = np.random.default_rng(0)
+        for shape in self.SHAPES:
+            protein, text = _unique_view(cfg, rng, *shape)
+            got = forward(params, protein, text)
+            want = forward(params, *(None if x is None else x[:]
+                                     for x in (protein, text)))
+            assert got.dtype == want.dtype == cfg.np_dtype
+            assert got.tobytes() == want.tobytes(), shape
+
+    def test_non_finite_distinct_row_rejected(self):
+        cfg = tiny_config()
+        params = init_params(cfg)
+        protein, text = _unique_view(cfg, np.random.default_rng(1), 6, 3, 2)
+        text.unique[1, 0] = np.inf
+        with pytest.raises(NonFiniteError) as info:
+            forward(params, protein, text)
+        assert info.value.code == "E_NONFINITE"
+
+    def test_wrong_distinct_row_dim_rejected(self):
+        cfg = tiny_config()
+        params = init_params(cfg)
+        protein, text = _unique_view(cfg, np.random.default_rng(2), 6, 3, 2)
+        wide = UniqueRows(np.zeros((3, cfg.protein_dim + 1), np.float32),
+                          protein.index)
+        with pytest.raises(DimensionError) as info:
+            forward(params, wide, text)
+        assert info.value.code == "E_DIM"
 
 
 class TestAttentionWeights:

@@ -20,7 +20,7 @@ import nanocorona
 from nanocorona.cache import CachedProvider, EmbeddingStore
 from nanocorona.encode import protein_matrix, text_matrix
 from nanocorona.errors import ProviderError
-from nanocorona.prompts import render_prompt
+from nanocorona.prompts import PromptCodes, render_prompt
 from nanocorona.providers import (
     BATCH,
     GROUP,
@@ -296,8 +296,10 @@ def test_text_matrix_embeds_each_distinct_prompt_once(corpus, schema, how,
                          for p in prompts])
     for _ in range(2):   # the second call finds a warm store when cached
         provider.calls.clear()
-        matrix = text_matrix(records, schema, provider, mask_set)
-        assert_bits_equal(matrix, expected)
+        matrix = text_matrix(records, PromptCodes(schema), provider,
+                             mask_set)
+        assert_bits_equal(matrix[:], expected)
+        assert len(matrix.unique) == len(set(prompts))
         assert provider.calls == Counter(set(prompts))
     assert len(provider.calls) == (3 if mask_set else 4)
 
@@ -314,7 +316,8 @@ def test_protein_matrix_embeds_each_distinct_accession_once(corpus, how,
     for _ in range(2):
         provider.calls.clear()
         matrix = protein_matrix(records, catalog, provider)
-        assert_bits_equal(matrix, expected)
+        assert_bits_equal(matrix[:], expected)
+        assert len(matrix.unique) == len(set(sequences))
         assert provider.calls == Counter(set(sequences))
     assert len(provider.calls) == 3
 
@@ -323,6 +326,6 @@ def test_empty_record_list_gives_empty_matrices(schema):
     protein, text = SyntheticProteinProvider(0), SyntheticTextProvider(0)
     for matrix, provider in (
             (protein_matrix([], make_catalog(1), protein), protein),
-            (text_matrix([], schema, text), text)):
-        assert matrix.shape == (0, provider.dim)
-        assert matrix.dtype == np.float32
+            (text_matrix([], PromptCodes(schema), text), text)):
+        assert matrix[:].shape == matrix.unique.shape == (0, provider.dim)
+        assert matrix[:].dtype == matrix.unique.dtype == np.float32
