@@ -2,7 +2,11 @@
 
 Only the operations the fusion model needs are implemented.  Tensors wrap
 ndarrays; backward() accumulates gradients into every tensor built with
-requires_grad=True.  Reduction order is fixed, so results are deterministic.
+requires_grad=True.  Reduction order is fixed, so results are deterministic:
+a product of a stack by one matrix, (..., k) @ (k, n), folds the stack into
+rows in C order and runs as one 2-D GEMM each way, so its weight gradient is
+one sum over all those rows; any other broadcast gradient is summed over its
+broadcast axes, the leading axis first.
 
 Python scalars take the dtype of the tensor they meet, so a float32 graph
 stays float32.  An op's backward may return None for a parent that needs no
@@ -87,6 +91,8 @@ class Tensor:
 
     def __matmul__(self, other):
         other = self._lift(other)
+        if other.data.ndim == 2:
+            return self._matmul_folded(other)
         out = Tensor(np.matmul(self.data, other.data), parents=(self, other))
 
         def backward(g):
@@ -98,6 +104,24 @@ class Tensor:
                 db = _unbroadcast(
                     np.matmul(np.swapaxes(self.data, -1, -2), g), other.shape)
             return da, db
+        out._backward = backward
+        return out
+
+    def _matmul_folded(self, other):
+        """A stack of matrices times one matrix, (..., k) @ (k, n), as one
+        GEMM over the stack's folded rows; the weight gradient is one
+        K = rows product, not a per-matrix product summed over the stack."""
+        x = self.data.reshape(-1, self.shape[-1])
+        out = Tensor((x @ other.data).reshape(*self.shape[:-1],
+                                              other.shape[-1]),
+                     parents=(self, other))
+
+        def backward(g):
+            g = g.reshape(-1, other.shape[-1])
+            dx = (g @ other.data.T).reshape(self.shape) \
+                if self.requires_grad else None
+            dw = x.T @ g if other.requires_grad else None
+            return dx, dw
         out._backward = backward
         return out
 

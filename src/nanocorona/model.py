@@ -161,9 +161,9 @@ def init_params(config: ModelConfig) -> ModelParams:
         elif leaf == "ln_bias" or leaf.startswith("b"):
             blocks[name] = np.zeros(shape, dtype=dtype)
         else:
-            fan_in = shape[0]
-            std = np.sqrt(2.0 / fan_in)
-            blocks[name] = (rng.standard_normal(shape) * std).astype(dtype)
+            draw = rng.standard_normal(shape)
+            draw *= np.sqrt(2.0 / shape[0])  # fan-in
+            blocks[name] = draw.astype(dtype, copy=False)
     return ModelParams(config=config, blocks=blocks)
 
 
@@ -542,22 +542,28 @@ def _fit(params: ModelParams, labels: np.ndarray, batch_grads, val_metric,
     return best_params, history
 
 
-def train(data_train, data_val, config: ModelConfig) -> tuple:
+def train(data_train, data_val, config: ModelConfig,
+          params: ModelParams | None = None) -> tuple:
     """Mini-batch Adam training with best-val early stopping.
 
     data_* are (protein, text, labels) with None for an absent modality;
-    each batch is gathered from a UniqueRows input's distinct rows.  Fully
-    deterministic for a fixed (config, data) pair.
+    each batch is gathered from a UniqueRows input's distinct rows.  Training
+    starts from `params`, whose config is `config` and whose blocks it
+    updates in place, or else from `init_params(config)`.  Fully
+    deterministic for a fixed (config, data, params) triple.
     """
     protein, text, labels = data_train
-    if len(labels) == 0 or len(data_val[2]) == 0:
-        raise ValueError("train and val data must be nonempty")
+    for view, data in (("train", data_train), ("val", data_val)):
+        if len(data[2]) == 0:
+            raise EmptyInputError(f"the {config.task} {view} view has no "
+                                  f"rows")
 
     def batch_grads(params, idx, batch_labels, w_pos):
         batch = [x[idx] if x is not None else None for x in (protein, text)]
         return compute_gradients(params, *batch, batch_labels, w_pos)
 
-    return _fit(init_params(config), labels, batch_grads,
+    params = init_params(config) if params is None else params
+    return _fit(params, labels, batch_grads,
                 lambda params: _val_metric(params, data_val), config)
 
 
@@ -648,8 +654,8 @@ def load_checkpoint(path) -> ModelParams:
     except (TypeError, ValueError) as exc:
         raise CorruptError(f"{path}: config: {exc}") from None
     try:
-        with open(path + ".bin", "rb") as fh:
-            payload = fh.read()
+        # one writable buffer; float32 blocks are views into it
+        payload = np.fromfile(path + ".bin", np.uint8)
     except FileNotFoundError:
         raise CorruptError(f"{path}.bin: payload file is missing") from None
     size = 4 * parameter_count(config)
@@ -660,6 +666,6 @@ def load_checkpoint(path) -> ModelParams:
     for name, shape in sorted(_block_specs(config)):
         count = math.prod(shape)
         blocks[name] = np.frombuffer(payload, "<f4", count, offset) \
-            .reshape(shape).astype(config.np_dtype)
+            .reshape(shape).astype(config.np_dtype, copy=False)
         offset += 4 * count
     return ModelParams(config=config, blocks=blocks)

@@ -377,28 +377,38 @@ def stage_embed(config: dict) -> list[str]:
 def stage_train(config: dict) -> list[str]:
     """Train one model per task; regression is skipped, and the files an
     earlier train wrote for it are deleted, when its train or val view is
-    empty."""
+    empty.  The initial draw reads no task, so it is drawn once: the first
+    task trains on a copy of it and the last on the draw itself."""
     schema, catalog, providers, views, _ = load_views(config)
-    outputs = []
+    tasks = []
     for task in _tasks(views):
-        train_view, val_view = views[(task, "train")], views[(task, "val")]
-        if task == "regression" and not (len(train_view) and len(val_view)):
+        if task == "regression" and not (len(views[(task, "train")])
+                                         and len(views[(task, "val")])):
             # eval scores every checkpoint it finds: drop an earlier train's
             for name in (f"model_{task}.ckpt", f"model_{task}.ckpt.bin",
                          f"history_{task}.json"):
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(_out(config, name))
             continue
+        tasks.append(task)
+    outputs, initial = [], None
+    for task in tasks:
         cfg = model.ModelConfig(**config["model"], task=task,
                                 protein_dim=providers.protein.dim,
                                 text_dim=providers.text.dim)
         train_data, val_data = (
             encode_view(view.records, view.labels, schema, catalog,
                         providers, cfg.modality)
-            for view in (train_view, val_view))
-        params, history = model.train(train_data, val_data, cfg)
+            for view in (views[(task, "train")], views[(task, "val")]))
+        if initial is None:
+            initial = model.init_params(cfg)
+        blocks = initial.blocks if task == tasks[-1] \
+            else initial.copy().blocks
+        params, history = model.train(train_data, val_data, cfg,
+                                      model.ModelParams(cfg, blocks))
         ckpt = _out(config, f"model_{task}.ckpt")
         model.save_checkpoint(params, ckpt)
+        del params  # not held while the next task trains
         hist_path = _out(config, f"history_{task}.json")
         write_json_atomic(hist_path, asdict(history), indent=1)
         outputs.extend([ckpt, ckpt + ".bin", hist_path])

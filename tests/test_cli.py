@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from nanocorona import curation, model, pipeline, schema as schema_module
 from nanocorona import splits
 from nanocorona.cli import main
-from nanocorona.errors import StageError
+from nanocorona.errors import EmptyInputError, StageError
 from nanocorona.schema import (
     UNKNOWN,
     numeric,
@@ -285,6 +285,15 @@ class TestEndToEnd:
         assert all(rec.protein_accession != dropped for rec in curated)
         assert not any(name.endswith(".tmp") for name in os.listdir(out))
 
+    def test_run_all_on_five_rows_is_an_empty_input_error(self, tmp_path,
+                                                          schema):
+        _, config = make_workspace(tmp_path, schema, n=5)
+        with pytest.raises(StageError, match="view has no rows") as info:
+            pipeline.run_end_to_end(config)
+        assert info.value.stage == "train"
+        assert isinstance(info.value.__cause__, EmptyInputError)
+        assert "classification" in str(info.value.__cause__)
+
     def test_stage_failure_names_stage(self, tmp_path, schema):
         _, config = make_workspace(tmp_path, schema)
         manifest = pipeline.RunManifest(config, config["paths"]["out_dir"])
@@ -366,6 +375,38 @@ class TestStageInputs:
                   for s in manifest.stages}
         assert inputs["curate"] == {"corpus.tsv", "catalog.tsv", "align.tsv"}
         assert inputs["split"] == {"curated.tsv"}
+
+
+class TestSharedInitialDraw:
+    """Both task models start from one init_params draw."""
+
+    def _train(self, config):
+        manifest = pipeline.RunManifest(config, config["paths"]["out_dir"])
+        pipeline.run_stage("train", config, manifest)
+        out = config["paths"]["out_dir"]
+        return {task: open(os.path.join(out, f"model_{task}.ckpt.bin"),
+                           "rb").read()
+                for task in ("classification", "regression")}
+
+    def test_train_draws_once_for_both_tasks(self, trained, tmp_path,
+                                             monkeypatch):
+        config = copy_run(trained, tmp_path)
+        draws = []
+        init_params = model.init_params
+        monkeypatch.setattr(model, "init_params",
+                            lambda cfg: draws.append(cfg.task)
+                            or init_params(cfg))
+        self._train(config)
+        assert draws == ["classification"]
+
+    def test_each_checkpoint_matches_one_trained_from_a_fresh_draw(
+            self, trained, tmp_path, monkeypatch):
+        shared = self._train(copy_run(trained, tmp_path / "shared"))
+        for task in ("classification", "regression"):
+            # a task trained alone trains on a draw of its own
+            monkeypatch.setattr(pipeline, "_tasks", lambda views: [task])
+            alone = self._train(copy_run(trained, tmp_path / task))
+            assert alone[task] == shared[task], task
 
 
 class TestDegenerateViews:

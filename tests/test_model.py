@@ -328,6 +328,64 @@ class TestGradients:
         np.testing.assert_allclose(w.grad, x.data.T @ g, rtol=1e-12)
 
 
+class TestStackByMatrixProduct:
+    """(b, t, k) @ (k, n) runs as one GEMM over the b * t folded rows."""
+
+    SHAPES = [(32, 8, 128, 128), (32, 8, 8, 8), (3, 8, 4, 4), (2, 3, 5, 7)]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("b,t,k,n", SHAPES)
+    def test_forward_bit_equal_to_matmul(self, b, t, k, n, dtype):
+        rng = np.random.default_rng(b * t + k)
+        x = rng.standard_normal((b, t, k)).astype(dtype)
+        w = rng.standard_normal((k, n)).astype(dtype)
+        out = Tensor(x, requires_grad=True) @ Tensor(w, requires_grad=True)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == np.matmul(x, w).tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("b,t,k,n", SHAPES)
+    def test_gradients_bit_equal_to_one_gemm(self, b, t, k, n, dtype):
+        rng = np.random.default_rng(b * t + n)
+        x = Tensor(rng.standard_normal((b, t, k)).astype(dtype),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((k, n)).astype(dtype),
+                   requires_grad=True)
+        g = rng.standard_normal((b, t, n)).astype(dtype)
+        (x @ w).backward(g)
+        g2d = g.reshape(-1, n)
+        assert w.grad.tobytes() == \
+            (x.data.reshape(-1, k).T @ g2d).tobytes()
+        assert x.grad.shape == x.shape
+        assert x.grad.tobytes() == (g2d @ w.data.T).tobytes()
+
+    @pytest.mark.parametrize("grad_of", ["left", "right", "both"])
+    def test_matches_finite_differences(self, grad_of):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((3, 4, 5)),
+                   requires_grad=grad_of in ("left", "both"))
+        w = Tensor(rng.standard_normal((5, 6)),
+                   requires_grad=grad_of in ("right", "both"))
+        weights = rng.standard_normal((3, 4, 6))
+        ((x @ w) * Tensor(weights)).sum().backward()
+        checked = [t for t in (x, w) if t.requires_grad]
+        assert [t for t in (x, w) if t.grad is not None] == checked
+        step = 1e-6
+        for tensor in checked:
+            flat = tensor.data.reshape(-1)
+            numeric = np.empty_like(flat)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + step
+                hi = np.sum(np.matmul(x.data, w.data) * weights)
+                flat[j] = orig - step
+                lo = np.sum(np.matmul(x.data, w.data) * weights)
+                flat[j] = orig
+                numeric[j] = (hi - lo) / (2 * step)
+            np.testing.assert_allclose(tensor.grad.reshape(-1), numeric,
+                                       rtol=1e-6, atol=1e-8)
+
+
 def _graph_nodes(root):
     """Every tensor reachable from root through _parents."""
     nodes, stack, seen = [], [root], set()
@@ -508,6 +566,31 @@ class TestTrain:
         data = _toy_data(cfg, 20, seed=6)
         train(data, data, cfg)
         assert len(copies) == 1
+
+    def test_starts_from_the_callers_params_and_trains_them_in_place(self):
+        cfg = tiny_config(max_epochs=3, patience=5)
+        data = _toy_data(cfg, 40, seed=12)
+        val = _toy_data(cfg, 16, seed=13)
+        fresh, fresh_history = train(data, val, cfg)
+        given = init_params(cfg)
+        drawn = {name: block.copy() for name, block in given.blocks.items()}
+        params, history = train(data, val, cfg, given)
+        assert history == fresh_history
+        for name in fresh.blocks:
+            assert params.blocks[name].tobytes() == \
+                fresh.blocks[name].tobytes(), name
+        assert not all(np.array_equal(given.blocks[name], drawn[name])
+                       for name in drawn)
+
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_empty_view_is_an_empty_input_error(self, empty):
+        cfg = tiny_config(task="regression")
+        data = _toy_data(cfg, 10, seed=14, task="regression")
+        none = tuple(x[:0] for x in data)
+        views = (none, data) if empty == "train" else (data, none)
+        with pytest.raises(EmptyInputError,
+                           match=f"regression {empty} view has no rows"):
+            train(*views, cfg)
 
     def test_nan_input_raises(self):
         cfg = tiny_config(max_epochs=3)
@@ -693,6 +776,29 @@ class TestCheckpoint:
         for name in params.blocks:
             assert loaded.blocks[name].tobytes() == \
                 params.blocks[name].tobytes(), name
+
+    def test_float32_blocks_are_writable_views_of_one_read(self, tmp_path):
+        params = self._params()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path).blocks
+        payload = loaded["head.b0"].base
+        assert payload is not None
+        assert all(block.base is payload for block in loaded.values())
+        assert all(block.flags.writeable and block.dtype == np.float32
+                   for block in loaded.values())
+
+    def test_float64_config_loads_float64_blocks(self, tmp_path):
+        params = init_params(tiny_config(dtype="float64"))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path).blocks
+        for name, block in params.blocks.items():
+            assert loaded[name].dtype == np.float64, name
+            assert loaded[name].flags.owndata and \
+                loaded[name].flags.writeable, name
+            assert np.array_equal(loaded[name],
+                                  block.astype(np.float32)), name
 
     def test_missing_payload_is_corrupt(self, tmp_path):
         path = tmp_path / "m.ckpt"
