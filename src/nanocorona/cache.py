@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import weakref
 
 import numpy as np
 
@@ -55,6 +56,10 @@ class EmbeddingStore:
     def __init__(self, path):
         self.path = str(path)
         self.index_path = self.path + ".idx.json"
+        # the read handle, opened by the first get, and the finalizer that
+        # closes it, by `close` or at the latest when the store is dropped
+        self._fd = None
+        self._close_fd = None
         index = self._read_index()
         start = None if index is None else self._indexed_end(index)
         if start is None:
@@ -83,25 +88,35 @@ class EmbeddingStore:
         self._index[key_hex] = offset
 
     def get(self, key_hex: str):
-        """Return (provider_id, vector) or None."""
+        """Return (provider_id, vector) or None.  Every get reads through
+        one handle, opened by the first and kept until `close`."""
         offset = self._index.get(key_hex)
         if offset is None:
             return None
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            key = fh.read(32)
-            if len(key) != 32 or key.hex() != key_hex:
-                raise CacheError(f"index points at wrong record for {key_hex}")
-            (pid_len,) = struct.unpack("<I", fh.read(4))
-            provider_id = fh.read(pid_len).decode("utf-8")
-            (dim,) = struct.unpack("<I", fh.read(4))
-            payload = fh.read(dim * 4)
-            if len(payload) != dim * 4:
-                raise CacheError(f"truncated payload for {key_hex}")
+        if self._fd is None:
+            self._fd = os.open(self.path, os.O_RDONLY)
+            self._close_fd = weakref.finalize(self, os.close, self._fd)
+        head = os.pread(self._fd, _HEAD, offset)
+        if len(head) != _HEAD or head[:32].hex() != key_hex:
+            raise CacheError(f"index points at wrong record for {key_hex}")
+        (pid_len,) = struct.unpack_from("<I", head, 32)
+        rest = os.pread(self._fd, pid_len + 4, offset + _HEAD)
+        provider_id = rest[:pid_len].decode("utf-8")
+        (dim,) = struct.unpack_from("<I", rest, pid_len)
+        payload = os.pread(self._fd, dim * 4, offset + _HEAD + pid_len + 4)
+        if len(payload) != dim * 4:
+            raise CacheError(f"truncated payload for {key_hex}")
         vec = np.frombuffer(payload, dtype="<f4").copy()
         if not np.isfinite(vec).all():
             raise CacheError(f"non-finite payload for {key_hex}")
         return provider_id, vec
+
+    def close(self) -> None:
+        """Close the read handle; a later get opens it again.  Dropping the
+        store closes it too."""
+        if self._fd is not None:
+            self._close_fd()
+            self._fd = None
 
     def rebuild_index(self) -> None:
         """Scan the whole data file and write a fresh index."""

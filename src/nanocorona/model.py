@@ -524,6 +524,9 @@ def _fit(params: ModelParams, labels: np.ndarray, batch_grads, val_metric,
             idx = order[start:start + config.batch_size]
             loss, grads = batch_grads(params, idx, labels[idx], w_pos)
             optimizer.step(params, grads)
+            # freed now, not held through the next batch's backward pass or
+            # the last one's validation and best-params copy
+            del grads
             epoch_loss += loss
             n_batches += 1
         history.train_loss.append(epoch_loss / n_batches)

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import hashlib
 import json
 import os
 import time
+from collections.abc import Callable
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -30,6 +32,7 @@ from .providers import (
     BATCH,
     PROTEIN_DIM,
     TEXT_DIM,
+    EmbeddingProvider,
     PrecomputedProvider,
     SyntheticProteinProvider,
     SyntheticTextProvider,
@@ -199,20 +202,34 @@ class RunManifest:
                           indent=1, sort_keys=True)
 
 
-def build_providers(config: dict) -> ProviderBundle:
+def text_encoder(config: dict) -> EmbeddingProvider | None:
+    """The inner text encoder that build_providers wraps in a stage's store;
+    None for precomputed vectors, which are read from that store itself."""
+    pcfg = config["provider"]
+    if pcfg["kind"] == "synthetic":
+        return SyntheticTextProvider(pcfg["seed"])
+    if pcfg["kind"] == "remote":
+        return RemoteProvider(pcfg["endpoint"], "text", TEXT_DIM)
+    return None
+
+
+def build_providers(config: dict,
+                    text: EmbeddingProvider | None = None) -> ProviderBundle:
+    """A stage's providers, each reading and filling one store.  `text` is
+    the inner text encoder to wrap, `text_encoder(config)` when None."""
     pcfg = config["provider"]
     store = EmbeddingStore(config["paths"]["cache"])
     kind = pcfg["kind"]
+    if kind == "precomputed":
+        return ProviderBundle(
+            protein=PrecomputedProvider(store, "protein", PROTEIN_DIM),
+            text=PrecomputedProvider(store, "text", TEXT_DIM))
     if kind == "synthetic":
         protein = SyntheticProteinProvider(pcfg["seed"])
-        text = SyntheticTextProvider(pcfg["seed"])
-    elif kind == "precomputed":
-        protein = PrecomputedProvider(store, "protein", PROTEIN_DIM)
-        text = PrecomputedProvider(store, "text", TEXT_DIM)
-        return ProviderBundle(protein=protein, text=text)
     else:  # "remote"
         protein = RemoteProvider(pcfg["endpoint"], "protein", PROTEIN_DIM)
-        text = RemoteProvider(pcfg["endpoint"], "text", TEXT_DIM)
+    if text is None:
+        text = text_encoder(config)
     return ProviderBundle(protein=CachedProvider(protein, store),
                           text=CachedProvider(text, store))
 
@@ -303,11 +320,12 @@ def stage_split(config: dict) -> list[str]:
     return [manifest_path, transform_path]
 
 
-def load_encoding(config: dict):
-    """(schema, catalog, providers): what encoding records needs."""
+def load_encoding(config: dict, text: EmbeddingProvider | None = None):
+    """(schema, catalog, providers): what encoding records needs; `text` as
+    for build_providers."""
     schema = default_schema()
     catalog = load_protein_catalog(config["paths"]["catalog"])
-    return schema, catalog, build_providers(config)
+    return schema, catalog, build_providers(config, text)
 
 
 SPLITS = ("train", "val", "test")
@@ -326,11 +344,11 @@ def load_transform(config: dict) -> BoxCoxTransform | None:
         lam=boxcox["lambda"], fitted_on=boxcox["fitted_on"])
 
 
-def load_views(config: dict):
+def load_views(config: dict, text: EmbeddingProvider | None = None):
     """load_encoding's (schema, catalog, providers), then the curated
     corpus's (task, split) -> TaskView map and the Box-Cox transform.  The
     regression views exist only when split fitted a transform."""
-    schema, catalog, providers = load_encoding(config)
+    schema, catalog, providers = load_encoding(config, text)
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     assignment = splits.read_split_manifest(_out(config, "split_manifest.tsv"))
     transform = load_transform(config)
@@ -355,11 +373,11 @@ def _scorable(view) -> bool:
     return len(np.unique(view.labels)) >= needed
 
 
-def stage_embed(config: dict) -> list[str]:
+def stage_embed(config: dict, text: EmbeddingProvider | None) -> list[str]:
     """Pre-encode every unique sequence and prompt into the cache, BATCH
     inputs per call; the vectors returned are dropped, so memory does not
     grow with the number of inputs."""
-    schema, catalog, providers = load_encoding(config)
+    schema, catalog, providers = load_encoding(config, text)
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     sequences = sorted({protein_sequence(catalog, r.protein_accession)
                         for r in records})
@@ -374,12 +392,12 @@ def stage_embed(config: dict) -> list[str]:
     return [stats_path]
 
 
-def stage_train(config: dict) -> list[str]:
+def stage_train(config: dict, text: EmbeddingProvider | None) -> list[str]:
     """Train one model per task; regression is skipped, and the files an
     earlier train wrote for it are deleted, when its train or val view is
     empty.  The initial draw reads no task, so it is drawn once: the first
     task trains on a copy of it and the last on the draw itself."""
-    schema, catalog, providers, views, _ = load_views(config)
+    schema, catalog, providers, views, _ = load_views(config, text)
     tasks = []
     for task in _tasks(views):
         if task == "regression" and not (len(views[(task, "train")])
@@ -415,10 +433,10 @@ def stage_train(config: dict) -> list[str]:
     return outputs
 
 
-def stage_eval(config: dict) -> list[str]:
+def stage_eval(config: dict, text: EmbeddingProvider | None) -> list[str]:
     """Score every trained task on every view `_scorable` accepts.  Each
     split's records are encoded once, for all the tasks that score them."""
-    schema, catalog, providers, views, transform = load_views(config)
+    schema, catalog, providers, views, transform = load_views(config, text)
     trained = {task: model.load_checkpoint(_out(config, f"model_{task}.ckpt"))
                for task in _tasks(views)
                if os.path.exists(_out(config, f"model_{task}.ckpt"))}
@@ -465,8 +483,8 @@ def stage_eval(config: dict) -> list[str]:
     return outputs
 
 
-def stage_ablate(config: dict) -> list[str]:
-    schema, catalog, providers, views, _ = load_views(config)
+def stage_ablate(config: dict, text: EmbeddingProvider | None) -> list[str]:
+    schema, catalog, providers, views, _ = load_views(config, text)
     params = model.load_checkpoint(_out(config, "model_classification.ckpt"))
     view = views[("classification", "test")]
     acfg = config["ablation"]
@@ -536,9 +554,17 @@ STAGES = {
 }
 
 RUN_ALL_ORDER = tuple(STAGES)
+# the stages that encode records, each through its own `build_providers`
+ENCODING_STAGES = ("embed", "train", "eval", "ablate")
 
 
-def run_stage(name: str, config: dict, manifest: RunManifest) -> list[str]:
+def run_stage(name: str, config: dict, manifest: RunManifest,
+              text: Callable[[], EmbeddingProvider | None] | None = None
+              ) -> list[str]:
+    """Run one stage and record it in `manifest`.  An encoding stage wraps
+    `text()`, when `text` is given, as its inner text encoder (see
+    build_providers); it is called inside the stage, so an encoder that
+    cannot be built fails the stage.  The other stages do not call it."""
     fn, stage_inputs = STAGES[name]
     paths = config["paths"]
     os.makedirs(paths["out_dir"], exist_ok=True)
@@ -546,7 +572,10 @@ def run_stage(name: str, config: dict, manifest: RunManifest) -> list[str]:
               for key in stage_inputs]
     started = time.monotonic()
     try:
-        outputs = fn(config)
+        if name in ENCODING_STAGES:
+            outputs = fn(config, text() if text else None)
+        else:
+            outputs = fn(config)
     except StageError:
         raise
     except Exception as exc:
@@ -557,9 +586,17 @@ def run_stage(name: str, config: dict, manifest: RunManifest) -> list[str]:
 
 
 def run_end_to_end(config: dict) -> dict:
-    """Chain every stage; any failure aborts naming the failing stage."""
+    """Chain every stage; any failure aborts naming the failing stage.
+
+    The encoding stages share one inner text encoder, built by the first
+    of them, so a synthetic text direction that embed drew is not drawn
+    again by ablate.  Its direction table is bounded by the prompt
+    vocabulary and is dropped when this call returns; each stage still
+    opens its own store, and builds its own protein encoder, which after
+    embed finds every sequence stored."""
     manifest = RunManifest(config, config["paths"]["out_dir"])
+    text = functools.cache(functools.partial(text_encoder, config))
     artifacts = {}
     for name in RUN_ALL_ORDER:
-        artifacts[name] = run_stage(name, config, manifest)
+        artifacts[name] = run_stage(name, config, manifest, text)
     return artifacts

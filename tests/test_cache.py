@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -105,6 +106,45 @@ def _assert_holds(store, n, dim=4):
     for i in range(n):
         assert np.array_equal(store.get(_key(f"t{i}"))[1],
                               np.full(dim, float(i), dtype=np.float32))
+
+
+class TestReadHandle:
+    """A store reads every record through one handle, which it closes."""
+
+    def test_gets_open_the_data_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.bin"
+        _fill(path, 5)
+        store = EmbeddingStore(path)
+        opened, real_open = [], os.open
+        monkeypatch.setattr(os, "open", lambda file, *args: opened.append(
+            os.fspath(file)) or real_open(file, *args))
+        for _ in range(3):
+            _assert_holds(store, 5)
+        assert opened == [str(path)]
+
+    def test_a_get_after_a_put_returns_the_new_record(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        _fill(path, 2)
+        store = EmbeddingStore(path)
+        _assert_holds(store, 2)  # the handle is open
+        store.put(_key("t2"), "p", np.full(4, 2.0, dtype=np.float32))
+        _assert_holds(store, 3)
+
+    def test_close_and_drop_close_the_handle(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        _fill(path, 1)
+        store = EmbeddingStore(path)
+        _assert_holds(store, 1)
+        fd = store._fd
+        store.close()
+        store.close()
+        with pytest.raises(OSError):
+            os.fstat(fd)
+        _assert_holds(store, 1)  # a get after close opens it again
+        fd = store._fd
+        del store
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 class TestLinearPuts:

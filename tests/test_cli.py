@@ -19,6 +19,7 @@ from nanocorona import curation, model, pipeline, schema as schema_module
 from nanocorona import splits
 from nanocorona.cli import main
 from nanocorona.errors import EmptyInputError, StageError
+from nanocorona.providers import SyntheticTextProvider
 from nanocorona.schema import (
     UNKNOWN,
     numeric,
@@ -300,6 +301,94 @@ class TestEndToEnd:
         # split before curate: curated.tsv does not exist yet
         with pytest.raises(StageError, match="split"):
             pipeline.run_stage("split", config, manifest)
+
+
+# the output files bench/run.py compares across runs
+COMPARED = ("curated.tsv", "split_manifest.tsv", "boxcox.json",
+            "model_classification.ckpt.bin", "model_regression.ckpt.bin",
+            "metrics.json", "importance.json", "fig_importance.csv")
+
+
+class TestSharedTextEncoder:
+    """run_end_to_end builds one inner text encoder for all its stages."""
+
+    @staticmethod
+    def _workspace(tmp_path, schema, name):
+        (tmp_path / name).mkdir()
+        _, config = make_workspace(tmp_path / name, schema)
+        # every feature ablated: many masks, on both product paths
+        config["ablation"].update(features=[], pairs=[])
+        return config
+
+    @staticmethod
+    def _staged(config):
+        """Each stage run alone, building its own providers."""
+        manifest = pipeline.RunManifest(config, config["paths"]["out_dir"])
+        for name in pipeline.RUN_ALL_ORDER:
+            pipeline.run_stage(name, config, manifest)
+
+    @staticmethod
+    def _fills(monkeypatch):
+        """The buckets whose synthetic text directions are drawn, in draw
+        order."""
+        fills, direction = [], SyntheticTextProvider._direction
+
+        def recording(self, bucket):
+            if bucket not in self._directions:
+                fills.append(bucket)
+            return direction(self, bucket)
+
+        monkeypatch.setattr(SyntheticTextProvider, "_direction", recording)
+        return fills
+
+    def test_run_all_matches_stage_by_stage(self, tmp_path, schema):
+        written = {}
+        for name, run in (("run_all", pipeline.run_end_to_end),
+                          ("staged", self._staged)):
+            config = self._workspace(tmp_path, schema, name)
+            run(config)
+            out = tmp_path / name / "out"
+            written[name] = {f: (out / f).read_bytes() for f in COMPARED}
+            written[name]["store"] = (tmp_path / name /
+                                      "embeddings.bin").read_bytes()
+        assert written["run_all"] == written["staged"]
+
+    def test_a_run_draws_each_text_direction_once(self, tmp_path, schema,
+                                                  monkeypatch):
+        fills = self._fills(monkeypatch)
+        drawn = []
+        for name in ("first", "second"):
+            pipeline.run_end_to_end(self._workspace(tmp_path, schema, name))
+            drawn.append(list(fills))
+            fills.clear()
+        first, second = drawn
+        assert first and len(first) == len(set(first))
+        # nothing outlives a run: the next one, on a new store, draws again
+        assert second == first
+        # stages run alone draw again what an earlier stage drew
+        self._staged(self._workspace(tmp_path, schema, "staged"))
+        assert len(fills) > len(set(fills)) and set(fills) == set(first)
+
+    def test_an_encoder_that_cannot_be_built_fails_the_first_encoding_stage(
+            self, tmp_path, schema):
+        _, config = make_workspace(tmp_path, schema)
+        config["provider"].update(kind="remote", endpoint="not-a-url")
+        with pytest.raises(StageError, match="not an http") as info:
+            pipeline.run_end_to_end(config)
+        assert info.value.stage == "embed"
+        saved = json.loads((tmp_path / "out" / "run_manifest.json")
+                           .read_text())
+        assert [s["stage"] for s in saved["stages"]] == ["curate", "split"]
+
+    def test_build_providers_alone_wraps_a_fresh_text_encoder(self, tmp_path,
+                                                              schema):
+        _, config = make_workspace(tmp_path, schema)
+        texts = [pipeline.build_providers(config).text.inner
+                 for _ in range(2)]
+        assert all(isinstance(t, SyntheticTextProvider) for t in texts)
+        assert texts[0] is not texts[1]
+        shared = SyntheticTextProvider(0)
+        assert pipeline.build_providers(config, shared).text.inner is shared
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import json
 import math
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -598,6 +599,34 @@ class TestTrain:
         data[0][0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             train(data, data, cfg)
+
+
+class TestFitHoldsNoGradient:
+    """_fit drops each batch's gradients once Adam has applied them."""
+
+    @pytest.mark.parametrize("how", ["train", "finetune"])
+    def test_gradients_are_dead_when_validation_runs(self, monkeypatch, how):
+        last, dead = [], []
+        backprop, score = model._backprop, model.score
+
+        def recording(*args):
+            loss, grads = backprop(*args)
+            last[:] = [weakref.ref(g) for g in grads.values()]
+            return loss, grads
+
+        def checking(*args):
+            dead.append(all(ref() is None for ref in last))
+            return score(*args)
+
+        monkeypatch.setattr(model, "_backprop", recording)
+        monkeypatch.setattr(model, "score", checking)
+        cfg = tiny_config(max_epochs=2, patience=5)
+        data = _toy_data(cfg, 40, seed=15)
+        if how == "train":
+            train(data, data, cfg)
+        else:
+            finetune(init_params(cfg), data, cfg)
+        assert last and dead == [True, True]
 
 
 class TestTrainBatching:
