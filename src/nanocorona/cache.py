@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CacheError
 from .prompts import canonical_hash
-from .providers import BATCH, EmbeddingProvider, as_batch
+from .providers import BATCH, EmbeddingProvider
 from .schema import write_json_atomic
 
 
@@ -56,8 +56,8 @@ class EmbeddingStore:
     def __init__(self, path):
         self.path = str(path)
         self.index_path = self.path + ".idx.json"
-        # the read handle, opened by the first get, and the finalizer that
-        # closes it, by `close` or at the latest when the store is dropped
+        # the one descriptor, opened by the first get or put, and the
+        # finalizer that closes it, by `close` or when the store is dropped
         self._fd = None
         self._close_fd = None
         index = self._read_index()
@@ -82,28 +82,27 @@ class EmbeddingStore:
                   + struct.pack("<I", len(pid)) + pid
                   + struct.pack("<I", vec.shape[0])
                   + vec.astype("<f4").tobytes())
-        with open(self.path, "ab") as fh:
-            offset = fh.tell()
-            fh.write(record)
+        fd = self._handle()
+        offset = os.lseek(fd, 0, os.SEEK_END)
+        view = memoryview(record)
+        while view:  # a short write is retried, so a full disk raises
+            view = view[os.write(fd, view):]
         self._index[key_hex] = offset
 
     def get(self, key_hex: str):
-        """Return (provider_id, vector) or None.  Every get reads through
-        one handle, opened by the first and kept until `close`."""
+        """Return (provider_id, vector) or None."""
         offset = self._index.get(key_hex)
         if offset is None:
             return None
-        if self._fd is None:
-            self._fd = os.open(self.path, os.O_RDONLY)
-            self._close_fd = weakref.finalize(self, os.close, self._fd)
-        head = os.pread(self._fd, _HEAD, offset)
+        fd = self._handle()
+        head = os.pread(fd, _HEAD, offset)
         if len(head) != _HEAD or head[:32].hex() != key_hex:
             raise CacheError(f"index points at wrong record for {key_hex}")
         (pid_len,) = struct.unpack_from("<I", head, 32)
-        rest = os.pread(self._fd, pid_len + 4, offset + _HEAD)
+        rest = os.pread(fd, pid_len + 4, offset + _HEAD)
         provider_id = rest[:pid_len].decode("utf-8")
         (dim,) = struct.unpack_from("<I", rest, pid_len)
-        payload = os.pread(self._fd, dim * 4, offset + _HEAD + pid_len + 4)
+        payload = os.pread(fd, dim * 4, offset + _HEAD + pid_len + 4)
         if len(payload) != dim * 4:
             raise CacheError(f"truncated payload for {key_hex}")
         vec = np.frombuffer(payload, dtype="<f4").copy()
@@ -111,9 +110,19 @@ class EmbeddingStore:
             raise CacheError(f"non-finite payload for {key_hex}")
         return provider_id, vec
 
+    def _handle(self) -> int:
+        """The descriptor every get and put goes through, opened (creating
+        the data file) by the first of them and kept until `close`: puts
+        append through it (O_APPEND) and gets read it with `os.pread`."""
+        if self._fd is None:
+            self._fd = os.open(self.path,
+                               os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            self._close_fd = weakref.finalize(self, os.close, self._fd)
+        return self._fd
+
     def close(self) -> None:
-        """Close the read handle; a later get opens it again.  Dropping the
-        store closes it too."""
+        """Close the descriptor; a later get or put opens it again.
+        Dropping the store closes it too."""
         if self._fd is not None:
             self._close_fd()
             self._fd = None
@@ -185,9 +194,8 @@ class CachedProvider(EmbeddingProvider):
         self.modality = inner.modality
         self.dim = inner.dim
 
-    def embed(self, texts: str | list[str]):
-        """The stored vector of each input (one str, or a list), or the
-        inner provider's, stored.
+    def embed(self, texts: list[str]) -> list[np.ndarray]:
+        """The stored vector of each input, or the inner provider's, stored.
 
         Each distinct input is looked up once.  A hit whose stored dimension
         or provider does not match raises E_CACHE before the inner provider
@@ -196,11 +204,10 @@ class CachedProvider(EmbeddingProvider):
         before the next chunk is sent, so the store holds the same bytes as
         when each input is embedded alone; a chunk that raises puts nothing.
         """
-        batch, single = as_batch(texts)
-        keys = [canonical_hash(text) for text in batch]
+        keys = [canonical_hash(text) for text in texts]
         vectors: dict[str, np.ndarray] = {}
         misses: dict[str, str] = {}
-        for key, text in zip(keys, batch):
+        for key, text in zip(keys, texts):
             if key in vectors or key in misses:
                 continue
             entry = self.store.get(key)
@@ -215,8 +222,7 @@ class CachedProvider(EmbeddingProvider):
                     [misses[key] for key in chunk])):
                 self.store.put(key, self.provider_id, vec)
                 vectors[key] = vec
-        out = [vectors[key] for key in keys]
-        return out[0] if single else out
+        return [vectors[key] for key in keys]
 
     def _checked(self, provider_id: str, vec: np.ndarray) -> np.ndarray:
         if vec.shape[0] != self.dim:

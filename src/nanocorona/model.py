@@ -222,6 +222,12 @@ class UniqueRows:
 SMALL_GEMM = 10 ** 6
 
 
+def _route(rows: int, width: int) -> int:
+    """The way (0 gemv, 1 small kernels, 2 blocked gemm) that computes x @ w
+    for an x of `rows` rows and a w of K * N = `width` entries."""
+    return 0 if rows == 1 else 1 if rows * width <= SMALL_GEMM else 2
+
+
 def _split_heads(x: Tensor, config: ModelConfig) -> Tensor:
     b, t, _ = x.shape
     h, hd = config.heads, config.head_dim
@@ -273,26 +279,23 @@ def _as_tensors(params: ModelParams, trainable: bool) -> dict:
 def _tokens(embedding: np.ndarray | UniqueRows | None, blocks: dict,
             modality: str, config: ModelConfig) -> Tensor:
     """One modality's embeddings, checked and projected into tokens.  A
-    UniqueRows whose projection needs no gradient is checked and projected
-    on its distinct rows, padded with zero rows into the BLAS path the whole
-    matrix would take, then gathered: bit-identical to the dense path."""
+    UniqueRows whose projection needs no gradient, and whose distinct rows
+    take the BLAS route its dense rows take, is checked and projected on
+    its distinct rows, then gathered: bit-identical to the dense path."""
     if embedding is None:
         raise DimensionError(f"{modality} embeddings required")
     weight, bias = blocks[f"proj_{modality}.W"], blocks[f"proj_{modality}.b"]
-    if isinstance(embedding, UniqueRows) and weight.requires_grad:
-        embedding = embedding[:]
+    if isinstance(embedding, UniqueRows):
+        width = embedding.unique.shape[1] * weight.shape[1]
+        if weight.requires_grad or (_route(len(embedding.unique), width)
+                                    != _route(len(embedding), width)):
+            embedding = embedding[:]
     if not isinstance(embedding, UniqueRows):
         _check_finite(embedding, f"{modality} embeddings")
         return project(embedding, weight, bias, config)
-    x = embedding.unique
-    _check_finite(x, f"{modality} embeddings")
-    (distinct, k), n = x.shape, len(embedding)
-    width = k * weight.shape[1]
-    least = 1 if n == 1 else 2 if n * width <= SMALL_GEMM \
-        else SMALL_GEMM // width + 1
-    if distinct < least:
-        x = np.concatenate([x, np.zeros((least - distinct, k), x.dtype)])
-    return Tensor(project(x, weight, bias, config).data[embedding.index])
+    _check_finite(embedding.unique, f"{modality} embeddings")
+    return Tensor(project(embedding.unique, weight, bias, config)
+                  .data[embedding.index])
 
 
 def _fuse(params: ModelParams, protein: np.ndarray | UniqueRows | None,

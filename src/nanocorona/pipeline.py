@@ -202,36 +202,32 @@ class RunManifest:
                           indent=1, sort_keys=True)
 
 
-def text_encoder(config: dict) -> EmbeddingProvider | None:
-    """The inner text encoder that build_providers wraps in a stage's store;
-    None for precomputed vectors, which are read from that store itself."""
+_DIMS = {"protein": PROTEIN_DIM, "text": TEXT_DIM}
+
+
+def encoder(config: dict, modality: str) -> EmbeddingProvider | None:
+    """The inner `modality` encoder that build_providers wraps in a stage's
+    store; None for precomputed vectors, which are read from that store."""
     pcfg = config["provider"]
     if pcfg["kind"] == "synthetic":
-        return SyntheticTextProvider(pcfg["seed"])
+        return {"protein": SyntheticProteinProvider,
+                "text": SyntheticTextProvider}[modality](pcfg["seed"])
     if pcfg["kind"] == "remote":
-        return RemoteProvider(pcfg["endpoint"], "text", TEXT_DIM)
+        return RemoteProvider(pcfg["endpoint"], modality, _DIMS[modality])
     return None
 
 
 def build_providers(config: dict,
                     text: EmbeddingProvider | None = None) -> ProviderBundle:
     """A stage's providers, each reading and filling one store.  `text` is
-    the inner text encoder to wrap, `text_encoder(config)` when None."""
-    pcfg = config["provider"]
+    the inner text encoder to wrap, `encoder(config, "text")` when None."""
     store = EmbeddingStore(config["paths"]["cache"])
-    kind = pcfg["kind"]
-    if kind == "precomputed":
-        return ProviderBundle(
-            protein=PrecomputedProvider(store, "protein", PROTEIN_DIM),
-            text=PrecomputedProvider(store, "text", TEXT_DIM))
-    if kind == "synthetic":
-        protein = SyntheticProteinProvider(pcfg["seed"])
-    else:  # "remote"
-        protein = RemoteProvider(pcfg["endpoint"], "protein", PROTEIN_DIM)
-    if text is None:
-        text = text_encoder(config)
-    return ProviderBundle(protein=CachedProvider(protein, store),
-                          text=CachedProvider(text, store))
+    inner = {"protein": encoder(config, "protein"),
+             "text": encoder(config, "text") if text is None else text}
+    return ProviderBundle(**{
+        modality: PrecomputedProvider(store, modality, _DIMS[modality])
+        if enc is None else CachedProvider(enc, store)
+        for modality, enc in inner.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +591,7 @@ def run_end_to_end(config: dict) -> dict:
     opens its own store, and builds its own protein encoder, which after
     embed finds every sequence stored."""
     manifest = RunManifest(config, config["paths"]["out_dir"])
-    text = functools.cache(functools.partial(text_encoder, config))
+    text = functools.cache(functools.partial(encoder, config, "text"))
     artifacts = {}
     for name in RUN_ALL_ORDER:
         artifacts[name] = run_stage(name, config, manifest, text)

@@ -24,13 +24,6 @@ BATCH = 32
 GROUP = 128
 
 
-def as_batch(texts: str | list[str]) -> tuple[list[str], bool]:
-    """(inputs, single): a str is a batch of one, and `single` says so."""
-    if isinstance(texts, str):
-        return [texts], True
-    return list(texts), False
-
-
 class EmbeddingProvider:
     """Maps input text (sequence or prompt) to a fixed-dimension vector."""
 
@@ -38,9 +31,8 @@ class EmbeddingProvider:
     modality: str
     dim: int
 
-    def embed(self, texts: str | list[str]):
-        """One input's (dim,) float32 vector for a str; for a list of
-        inputs, the list of their vectors in order."""
+    def embed(self, texts: list[str]) -> list[np.ndarray]:
+        """The (dim,) float32 vector of each input, in input order."""
         raise NotImplementedError
 
 
@@ -115,13 +107,12 @@ class _HashedProjectionProvider(EmbeddingProvider):
             counts[b] = counts.get(b, 0) + 1
         return counts
 
-    def embed(self, texts: str | list[str]):
-        batch, single = as_batch(texts)
-        counts = [self._counts(text) for text in batch]
+    def embed(self, texts: list[str]) -> list[np.ndarray]:
+        counts = [self._counts(text) for text in texts]
         vectors = []
         for start in range(0, len(counts), BATCH):
             vectors += self._project(counts[start:start + BATCH])
-        return vectors[0] if single else vectors
+        return vectors
 
     def _project(self, counts: list[dict[int, int]]) -> list[np.ndarray]:
         """The unit float32 vector of each input's bucket counts."""
@@ -208,42 +199,44 @@ class PrecomputedProvider(EmbeddingProvider):
         self.modality = modality
         self.dim = dim
 
-    def embed(self, texts: str | list[str]):
+    def embed(self, texts: list[str]) -> list[np.ndarray]:
         """One store get per input; an input with no stored vector raises
         E_PROVIDER and a stored vector of the wrong dim E_DIM."""
-        batch, single = as_batch(texts)
-        vectors = [self._stored(text) for text in batch]
-        return vectors[0] if single else vectors
-
-    def _stored(self, text: str) -> np.ndarray:
-        entry = self.store.get(canonical_hash(text))
-        if entry is None:
-            raise ProviderError("no precomputed vector for input")
-        _, vec = entry  # the store has checked that it is finite
-        if vec.shape != (self.dim,):
-            raise DimensionError(f"{self.provider_id} vector has shape "
-                                 f"{vec.shape}, expected ({self.dim},)")
-        return vec
+        vectors = []
+        for text in texts:
+            entry = self.store.get(canonical_hash(text))
+            if entry is None:
+                raise ProviderError("no precomputed vector for input")
+            _, vec = entry  # the store has checked that it is finite
+            if vec.shape != (self.dim,):
+                raise DimensionError(f"{self.provider_id} vector has shape "
+                                     f"{vec.shape}, expected ({self.dim},)")
+            vectors.append(vec)
+        return vectors
 
 
-def _embed_checked(texts: str | list[str], provider: EmbeddingProvider,
-                   modality: str):
-    """provider.embed(texts) once the provider's modality is checked and no
-    input is empty."""
+def _embed_checked(texts: list[str], provider: EmbeddingProvider,
+                   modality: str) -> list[np.ndarray]:
+    """provider.embed(texts) once the provider's modality is checked, and
+    `texts` is a list (a str would be embedded a character at a time) with
+    no empty input."""
     if provider.modality != modality:
         raise ProviderError(f"provider {provider.provider_id} is not a "
                             f"{modality} provider")
-    if not all(as_batch(texts)[0]):
+    if isinstance(texts, str):
+        raise ProviderError("embed takes a list of inputs, not a str")
+    if not all(texts):
         raise ProviderError("empty input")
     return provider.embed(texts)
 
 
-def embed_protein(sequences: str | list[str],
-                  provider: EmbeddingProvider):
-    """A sequence's vector, or a list of sequences' vectors."""
+def embed_protein(sequences: list[str],
+                  provider: EmbeddingProvider) -> list[np.ndarray]:
+    """The vector of each sequence, in order."""
     return _embed_checked(sequences, provider, MODALITY_PROTEIN)
 
 
-def embed_text(texts: str | list[str], provider: EmbeddingProvider):
-    """A prompt's vector, or a list of prompts' vectors."""
+def embed_text(texts: list[str],
+               provider: EmbeddingProvider) -> list[np.ndarray]:
+    """The vector of each prompt, in order."""
     return _embed_checked(texts, provider, MODALITY_TEXT)

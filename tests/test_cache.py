@@ -4,6 +4,7 @@ or stale index."""
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import os
@@ -21,7 +22,6 @@ from nanocorona.providers import (
     EmbeddingProvider,
     PrecomputedProvider,
     SyntheticProteinProvider,
-    as_batch,
 )
 
 
@@ -34,9 +34,9 @@ class CountingProvider(SyntheticProteinProvider):
         super().__init__(seed)
         self.calls = 0
 
-    def embed(self, text):
+    def embed(self, texts):
         self.calls += 1
-        return super().embed(text)
+        return super().embed(texts)
 
 
 class TestEmbeddingStore:
@@ -109,7 +109,8 @@ def _assert_holds(store, n, dim=4):
 
 
 class TestReadHandle:
-    """A store reads every record through one handle, which it closes."""
+    """A store reads and appends every record through one handle, which it
+    closes."""
 
     def test_gets_open_the_data_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "emb.bin"
@@ -120,6 +121,24 @@ class TestReadHandle:
             os.fspath(file)) or real_open(file, *args))
         for _ in range(3):
             _assert_holds(store, 5)
+        assert opened == [str(path)]
+
+    def test_puts_and_gets_open_the_data_file_once(self, tmp_path,
+                                                   monkeypatch):
+        # the first put creates the data file through the handle that every
+        # later put appends to and every get reads
+        path = tmp_path / "emb.bin"
+        store = EmbeddingStore(path)
+        opened, real_os_open, real_open = [], os.open, builtins.open
+        monkeypatch.setattr(os, "open", lambda file, *args: opened.append(
+            os.fspath(file)) or real_os_open(file, *args))
+        monkeypatch.setattr(builtins, "open", lambda file, *args, **kw:
+                            opened.append(os.fspath(file))
+                            or real_open(file, *args, **kw))
+        for i in range(5):
+            store.put(_key(f"t{i}"), "p",
+                      np.full(4, float(i), dtype=np.float32))
+            _assert_holds(store, i + 1)
         assert opened == [str(path)]
 
     def test_a_get_after_a_put_returns_the_new_record(self, tmp_path):
@@ -283,7 +302,7 @@ class TestCacheGetOrCompute:
     def test_miss_computes_and_persists(self, tmp_path):
         store = EmbeddingStore(tmp_path / "emb.bin")
         provider = CountingProvider()
-        vec = CachedProvider(provider, store).embed("ACDEFGHIKL")
+        vec = CachedProvider(provider, store).embed(["ACDEFGHIKL"])[0]
         assert provider.calls == 1
         key = canonical_hash("ACDEFGHIKL")
         assert key in store
@@ -292,8 +311,8 @@ class TestCacheGetOrCompute:
     def test_hit_skips_provider(self, tmp_path):
         store = EmbeddingStore(tmp_path / "emb.bin")
         provider = CountingProvider()
-        first = CachedProvider(provider, store).embed("ACDEFGHIKL")
-        second = CachedProvider(provider, store).embed("ACDEFGHIKL")
+        first = CachedProvider(provider, store).embed(["ACDEFGHIKL"])[0]
+        second = CachedProvider(provider, store).embed(["ACDEFGHIKL"])[0]
         assert provider.calls == 1
         assert np.array_equal(first, second)
 
@@ -303,7 +322,7 @@ class TestCacheGetOrCompute:
         store.put(canonical_hash("ACDEFGHIKL"), provider.provider_id,
                   np.ones(7, dtype=np.float32))
         with pytest.raises(CacheError, match="dim"):
-            CachedProvider(provider, store).embed("ACDEFGHIKL")
+            CachedProvider(provider, store).embed(["ACDEFGHIKL"])
         assert provider.calls == 0
 
     def test_provider_mismatch_on_hit(self, tmp_path):
@@ -312,7 +331,7 @@ class TestCacheGetOrCompute:
         store.put(canonical_hash("ACDEFGHIKL"), "someone-else",
                   np.ones(provider.dim, dtype=np.float32))
         with pytest.raises(CacheError, match="provider"):
-            CachedProvider(provider, store).embed("ACDEFGHIKL")
+            CachedProvider(provider, store).embed(["ACDEFGHIKL"])
         assert provider.calls == 0
 
 
@@ -327,22 +346,22 @@ def test_non_finite_stored_vector_is_a_cache_error(tmp_path):
     with pytest.raises(CacheError, match="non-finite"):
         store.get(key)
     with pytest.raises(CacheError, match="non-finite"):
-        CachedProvider(provider, store).embed("ACDEFGHIKL")
+        CachedProvider(provider, store).embed(["ACDEFGHIKL"])
     assert provider.calls == 0
     precomputed = PrecomputedProvider(store, "protein", provider.dim)
     with pytest.raises(CacheError, match="non-finite"):
-        precomputed.embed("ACDEFGHIKL")
+        precomputed.embed(["ACDEFGHIKL"])
 
 
 class TestCachedProvider:
     def test_transparent_and_caching(self, tmp_path):
         inner = CountingProvider()
-        direct = SyntheticProteinProvider().embed("ACDEFGHIKLMN")
+        direct = SyntheticProteinProvider().embed(["ACDEFGHIKLMN"])[0]
         cached = CachedProvider(inner, EmbeddingStore(tmp_path / "emb.bin"))
         assert cached.dim == inner.dim
         assert cached.provider_id == inner.provider_id
-        out1 = cached.embed("ACDEFGHIKLMN")
-        out2 = cached.embed("ACDEFGHIKLMN")
+        out1 = cached.embed(["ACDEFGHIKLMN"])[0]
+        out2 = cached.embed(["ACDEFGHIKLMN"])[0]
         assert inner.calls == 1
         assert np.array_equal(out1, direct)
         assert np.array_equal(out1, out2)
@@ -382,12 +401,10 @@ class BatchRecorder(EmbeddingProvider):
         return np.full(4, int(_key(text)[:6], 16), dtype=np.float32)
 
     def embed(self, texts):
-        batch, single = as_batch(texts)
-        self.batches.append(batch)
+        self.batches.append(list(texts))
         if len(self.batches) == self.fail_on:
             raise ProviderError("scripted failure")
-        vectors = [self.vector(text) for text in batch]
-        return vectors[0] if single else vectors
+        return [self.vector(text) for text in texts]
 
 
 class TestCachedProviderBatch:

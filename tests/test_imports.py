@@ -168,10 +168,34 @@ def test_third_party_imports_are_the_declared_dependencies():
     assert third_party == declared
 
 
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether `call` is an `open()` whose mode writes, appends, creates or
+    updates, or an `os.open()` whose flags name any of _WRITE_FLAGS; a mode
+    that is not a string literal, or flags that name no `os.O_*`, count as
+    writing."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "mode"),
+            ast.Constant("r"))
+        return not isinstance(mode, ast.Constant) \
+            or bool(set(str(mode.value)) & set("wax+"))
+    if isinstance(func, ast.Attribute) and func.attr == "open" \
+            and isinstance(func.value, ast.Name) and func.value.id == "os":
+        flags = call.args[1] if len(call.args) > 1 else next(
+            kw.value for kw in call.keywords if kw.arg == "flags")
+        names = {node.attr for node in ast.walk(flags)
+                 if isinstance(node, ast.Attribute)}
+        return not names or bool(names & _WRITE_FLAGS)
+    return False
+
+
 def opens_for_writing(source: str) -> list[str]:
-    """Qualified name of the function around each `open()` call in `source`
-    whose mode writes, appends, creates or updates; a mode that is not a
-    string literal counts as writing."""
+    """Qualified name of the function around each call in `source` that
+    opens a file for writing (see `_writes`)."""
     found = []
 
     def visit(node, scope):
@@ -180,15 +204,8 @@ def opens_for_writing(source: str) -> list[str]:
                                   ast.ClassDef)):
                 visit(child, [*scope, child.name])
                 continue
-            if isinstance(child, ast.Call) \
-                    and isinstance(child.func, ast.Name) \
-                    and child.func.id == "open":
-                mode = child.args[1] if len(child.args) > 1 else next(
-                    (kw.value for kw in child.keywords if kw.arg == "mode"),
-                    ast.Constant("r"))
-                if not isinstance(mode, ast.Constant) \
-                        or set(str(mode.value)) & set("wax+"):
-                    found.append(".".join(scope))
+            if isinstance(child, ast.Call) and _writes(child):
+                found.append(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(source), [])
@@ -203,12 +220,22 @@ def test_write_detector_names_the_enclosing_function():
     assert opens_for_writing(source) == ["Log.put", "Log.put", "save"]
 
 
+def test_write_detector_reads_os_open_flags():
+    source = ("import os\n"
+              "def read(p):\n    return os.open(p, os.O_RDONLY)\n"
+              "def log(p):\n"
+              "    return os.open(p, os.O_RDWR | os.O_APPEND, 0o666)\n"
+              "def given(p, flags):\n    return os.open(p, flags)\n")
+    assert opens_for_writing(source) == ["log", "given"]
+
+
 def test_files_are_written_only_through_the_one_writer():
     # every file but the embedding store's append-only log reaches disk
-    # through schema.write_atomic, whole or not at all
+    # through schema.write_atomic, whole or not at all; the store's one
+    # descriptor, which its puts append through, is opened by `_handle`
     writers = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
                for name in opens_for_writing(path.read_text(encoding="utf-8"))}
-    assert writers == {"schema.write_atomic", "cache.EmbeddingStore.put"}
+    assert writers == {"schema.write_atomic", "cache.EmbeddingStore._handle"}
 
 
 def test_importing_the_program_leaves_the_http_client_unloaded():

@@ -202,8 +202,9 @@ def _unique_view(cfg, rng, n, distinct_protein, distinct_text):
 class TestUniqueRowsForward:
     """forward on distinct rows plus an index equals forward on the dense
     matrix bit for bit, at the tiny test widths and at the benchmark's
-    64-wide model over provider widths, where the BLAS computes one row,
-    a few rows and many rows in three different ways."""
+    64-wide and the paper's 1024-wide model over provider widths, where the
+    BLAS computes one row, a few rows and many rows in three different
+    ways."""
 
     # (rows, distinct proteins, distinct prompts): a one-row view, views
     # where every row shares one prompt, and repeated indices throughout
@@ -211,7 +212,8 @@ class TestUniqueRowsForward:
               (7, 7, 3), (40, 2, 40), (2, 1, 1))
 
     @pytest.mark.parametrize("widths", [(12, 16, 8, 2, 2),
-                                        (2560, 4096, 64, 8, 8)])
+                                        (2560, 4096, 64, 8, 8),
+                                        (2560, 4096, 1024, 8, 8)])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("modality",
                              ["fused", "protein_only", "text_only"])
@@ -229,6 +231,19 @@ class TestUniqueRowsForward:
                                      for x in (protein, text)))
             assert got.dtype == want.dtype == cfg.np_dtype
             assert got.tobytes() == want.tobytes(), shape
+
+    @pytest.mark.parametrize("taken", [2, 3])
+    def test_taken_rows_match_row_major_forward(self, taken):
+        # `take` keeps every distinct row: 10 of them go through blocked
+        # gemm at these widths, while 2 or 3 dense rows take small kernels
+        cfg = ModelConfig(protein_dim=2560, text_dim=4096, d_shared=64,
+                          tokens=8, heads=8, mlp_hidden=(6, 4))
+        params = init_params(cfg)
+        view = _unique_view(cfg, np.random.default_rng(3), 10, 10, 10)
+        protein, text = (m.take(np.arange(taken)) for m in view)
+        got = forward(params, protein, text)
+        want = forward(params, protein[:], text[:])
+        assert got.tobytes() == want.tobytes()
 
     def test_non_finite_distinct_row_rejected(self):
         cfg = tiny_config()

@@ -85,8 +85,8 @@ class TestSyntheticProviders:
         protein = SyntheticProteinProvider(seed=0)
         text = SyntheticTextProvider(seed=0)
         seq = random_sequence(rng, 40)
-        pv = embed_protein(seq, protein)
-        tv = embed_text("gold nanoparticle in PBS", text)
+        pv = embed_protein([seq], protein)[0]
+        tv = embed_text(["gold nanoparticle in PBS"], text)[0]
         assert pv.shape == (PROTEIN_DIM,)
         assert tv.shape == (TEXT_DIM,)
         assert pv.dtype == tv.dtype == np.float32
@@ -94,9 +94,9 @@ class TestSyntheticProviders:
         assert np.linalg.norm(tv) == pytest.approx(1.0, abs=1e-5)
 
     def test_deterministic_across_instances(self):
-        a = SyntheticProteinProvider(seed=4).embed("ACDEFGHIKLMNP")
-        b = SyntheticProteinProvider(seed=4).embed("ACDEFGHIKLMNP")
-        c = SyntheticProteinProvider(seed=5).embed("ACDEFGHIKLMNP")
+        a = SyntheticProteinProvider(seed=4).embed(["ACDEFGHIKLMNP"])[0]
+        b = SyntheticProteinProvider(seed=4).embed(["ACDEFGHIKLMNP"])[0]
+        c = SyntheticProteinProvider(seed=5).embed(["ACDEFGHIKLMNP"])[0]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -105,8 +105,8 @@ class TestSyntheticProviders:
         base = "ACDEFGHIKLMNPQRSTVWYACDEFGHIKL"
         near = base[:-1] + "A"  # one substitution
         far = "KLMNPQKLMNPQKLMNPQKLMNPQKLMNPQ"
-        sim_near = float(provider.embed(base) @ provider.embed(near))
-        sim_far = float(provider.embed(base) @ provider.embed(far))
+        sim_near = float(provider.embed([base])[0] @ provider.embed([near])[0])
+        sim_far = float(provider.embed([base])[0] @ provider.embed([far])[0])
         assert sim_near > sim_far
 
     def test_text_provider_sensitive_to_single_clause(self, schema):
@@ -114,20 +114,20 @@ class TestSyntheticProviders:
         record = _record(schema, core=categorical("gold"))
         full = render_prompt(record, schema)
         masked = render_prompt(record, schema, mask_set=frozenset({"core"}))
-        assert not np.array_equal(provider.embed(full.text),
-                                  provider.embed(masked.text))
+        assert not np.array_equal(provider.embed([full.text])[0],
+                                  provider.embed([masked.text])[0])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ProviderError):
-            SyntheticProteinProvider().embed("")
+            SyntheticProteinProvider().embed([""])
         with pytest.raises(ProviderError):
-            embed_text("", SyntheticTextProvider())
+            embed_text([""], SyntheticTextProvider())
 
     def test_modality_mismatch(self):
         with pytest.raises(ProviderError):
-            embed_protein("ACDE", SyntheticTextProvider())
+            embed_protein(["ACDE"], SyntheticTextProvider())
         with pytest.raises(ProviderError):
-            embed_text("hello", SyntheticProteinProvider())
+            embed_text(["hello"], SyntheticProteinProvider())
 
 
 class _DictStore:
@@ -144,7 +144,7 @@ class TestPrecomputedProvider:
         vec = np.arange(TEXT_DIM, dtype=np.float32)
         store.vectors[canonical_hash("some prompt")] = ("offline", vec)
         provider = PrecomputedProvider(store, "text", TEXT_DIM)
-        assert np.array_equal(embed_text("some prompt", provider), vec)
+        assert np.array_equal(embed_text(["some prompt"], provider)[0], vec)
 
     def test_list_makes_one_get_per_input(self):
         store = _DictStore()
@@ -163,7 +163,7 @@ class TestPrecomputedProvider:
     def test_missing_entry(self):
         provider = PrecomputedProvider(_DictStore(), "text", TEXT_DIM)
         with pytest.raises(ProviderError):
-            provider.embed("never seen")
+            provider.embed(["never seen"])
 
     def test_wrong_dimension_rejected(self):
         store = _DictStore()
@@ -171,4 +171,4 @@ class TestPrecomputedProvider:
             "offline", np.zeros(7, dtype=np.float32))
         provider = PrecomputedProvider(store, "text", TEXT_DIM)
         with pytest.raises(DimensionError):
-            provider.embed("p")
+            provider.embed(["p"])

@@ -20,21 +20,23 @@ import nanocorona
 from nanocorona.cache import CachedProvider, EmbeddingStore
 from nanocorona.encode import protein_matrix, text_matrix
 from nanocorona.errors import ProviderError
-from nanocorona.prompts import PromptCodes, render_prompt
+from nanocorona.prompts import PromptCodes, canonical_hash, render_prompt
 from nanocorona.providers import (
     BATCH,
     GROUP,
     EmbeddingProvider,
+    PrecomputedProvider,
     SyntheticProteinProvider,
     SyntheticTextProvider,
     _bucket,
-    as_batch,
     embed_protein,
     embed_text,
 )
+from nanocorona.remote import RemoteProvider
 from nanocorona.schema import SampleRecord, categorical
 
 from conftest import base_features, make_catalog, random_sequence
+from test_remote import DIM, _endpoint, _ok, keep_alive_server  # noqa: F401
 
 
 def reference_embed(provider, text: str) -> np.ndarray:
@@ -93,7 +95,7 @@ def test_embed_matches_reference_bit_for_bit(cls, make_inputs, batched,
                 assert_bits_equal(vec, reference_embed(reference, text))
             continue
         for text in inputs:
-            assert_bits_equal(provider.embed(text),
+            assert_bits_equal(provider.embed([text])[0],
                               reference_embed(reference, text))
 
 
@@ -244,7 +246,60 @@ def test_embed_checks_modality_and_every_input_before_the_provider():
     assert embed_text([], provider) == []
     vectors = embed_text(["gold", "silica"], provider)
     assert provider.calls == Counter(["gold", "silica"])
-    assert_bits_equal(vectors[1], SyntheticTextProvider(0).embed("silica"))
+    assert_bits_equal(vectors[1],
+                      SyntheticTextProvider(0).embed(["silica"])[0])
+
+
+@pytest.mark.parametrize("embed, cls", [
+    (embed_protein, SyntheticProteinProvider),
+    (embed_text, SyntheticTextProvider)])
+def test_a_bare_str_is_a_provider_error(embed, cls):
+    # a str is an iterable of one-character inputs: it is refused, not
+    # embedded a character at a time
+    provider = CountingProvider(cls(0))
+    with pytest.raises(ProviderError, match="not a str") as info:
+        embed("ACDE", provider)
+    assert info.value.code == "E_PROVIDER"
+    assert not provider.calls
+
+
+@pytest.fixture(params=["synthetic-protein", "synthetic-text",
+                        "precomputed", "cached", "remote"])
+def contract_case(request, tmp_path):
+    """(provider, three inputs, the vector each input maps to)."""
+    inputs = ["ACDEFGH gold", "KLMNPQ silica", "RSTVWY citrate"]
+    if request.param.startswith("synthetic"):
+        cls = (SyntheticProteinProvider if request.param.endswith("protein")
+               else SyntheticTextProvider)
+        yield cls(0), inputs, [cls(0).embed([t])[0] for t in inputs]
+    elif request.param == "precomputed":
+        store = EmbeddingStore(tmp_path / "emb.bin")
+        expected = [np.full(4, i, dtype=np.float32) for i in range(3)]
+        for text, vec in zip(inputs, expected):
+            store.put(canonical_hash(text), "offline", vec)
+        yield PrecomputedProvider(store, "text", 4), inputs, expected
+    elif request.param == "cached":
+        provider = CachedProvider(SyntheticProteinProvider(0),
+                                  EmbeddingStore(tmp_path / "emb.bin"))
+        yield provider, inputs, [SyntheticProteinProvider(0).embed([t])[0]
+                                 for t in inputs]
+    else:
+        server = request.getfixturevalue("keep_alive_server")
+        server.script = [_ok([float(i)] * DIM) for i in range(3)]
+        provider = RemoteProvider(_endpoint(server), "text", DIM)
+        yield provider, inputs, [np.full(DIM, float(i), dtype=np.float32)
+                                 for i in range(3)]
+        provider.connection.close()
+
+
+def test_every_provider_maps_a_list_to_a_list_in_order(contract_case):
+    provider, inputs, expected = contract_case
+    assert provider.embed([]) == []
+    vectors = provider.embed(inputs)
+    assert isinstance(vectors, list) and len(vectors) == 3
+    for vec, want in zip(vectors, expected):
+        assert vec.dtype == np.float32 and vec.shape == (provider.dim,)
+        assert_bits_equal(vec, want)
 
 
 class CountingProvider(EmbeddingProvider):
@@ -258,7 +313,7 @@ class CountingProvider(EmbeddingProvider):
         self.calls: Counter = Counter()
 
     def embed(self, texts):
-        self.calls.update(as_batch(texts)[0])
+        self.calls.update(texts)
         return self.inner.embed(texts)
 
 
@@ -292,7 +347,7 @@ def test_text_matrix_embeds_each_distinct_prompt_once(corpus, schema, how,
     records, _ = corpus
     provider = wrapped(SyntheticTextProvider(0), how, tmp_path)
     prompts = [render_prompt(r, schema, mask_set).text for r in records]
-    expected = np.stack([embed_text(p, SyntheticTextProvider(0))
+    expected = np.stack([embed_text([p], SyntheticTextProvider(0))[0]
                          for p in prompts])
     for _ in range(2):   # the second call finds a warm store when cached
         provider.calls.clear()
@@ -311,7 +366,7 @@ def test_protein_matrix_embeds_each_distinct_accession_once(corpus, how,
     provider = wrapped(SyntheticProteinProvider(0), how, tmp_path)
     sequences = [catalog.lookup(r.protein_accession).sequence
                  for r in records]
-    expected = np.stack([embed_protein(s, SyntheticProteinProvider(0))
+    expected = np.stack([embed_protein([s], SyntheticProteinProvider(0))[0]
                          for s in sequences])
     for _ in range(2):
         provider.calls.clear()

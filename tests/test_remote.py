@@ -186,7 +186,7 @@ class TestRemoteProvider:
                                   backoff=0.01)
         assert provider.dim == DIM
         assert provider.modality == "text"
-        vec = provider.embed("a prompt")
+        vec = provider.embed(["a prompt"])[0]
         assert np.array_equal(vec, np.full(DIM, 2.0, dtype=np.float32))
         assert mock_server.requests[0][1]["modality"] == "text"
 
@@ -204,7 +204,7 @@ class TestRemoteProvider:
         try:
             for i in range(4):
                 assert np.array_equal(
-                    provider.embed(f"prompt {i}"),
+                    provider.embed([f"prompt {i}"])[0],
                     np.full(DIM, float(i), dtype=np.float32))
         finally:
             provider.connection.close()
@@ -271,7 +271,7 @@ class TestRemoteProvider:
         try:
             for i in range(4):
                 assert np.array_equal(
-                    provider.embed(f"prompt {i}"),
+                    provider.embed([f"prompt {i}"])[0],
                     np.full(DIM, float(i), dtype=np.float32))
         finally:
             provider.connection.close()
