@@ -2,7 +2,8 @@
 
 Only the operations the fusion model needs are implemented.  Tensors wrap
 ndarrays; backward() accumulates gradients into every tensor built with
-requires_grad=True.  Reduction order is fixed, so results are deterministic:
+requires_grad=True.  An op none of whose inputs needs a gradient records no
+graph.  Reduction order is fixed, so results are deterministic:
 a product of a stack by one matrix, (..., k) @ (k, n), folds the stack into
 rows in C order and runs as one 2-D GEMM each way, so its weight gradient is
 one sum over all those rows; any other broadcast gradient is summed over its
@@ -56,20 +57,16 @@ class Tensor:
 
     def __add__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
 
         def backward(g):
             return (_unbroadcast(g, self.shape),
                     _unbroadcast(g, other.shape))
-        out._backward = backward
-        return out
+        return _op(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, parents=(self,))
-        out._backward = lambda g: (-g,)
-        return out
+        return _op(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -79,13 +76,11 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
 
         def backward(g):
             return (_unbroadcast(g * other.data, self.shape),
                     _unbroadcast(g * self.data, other.shape))
-        out._backward = backward
-        return out
+        return _op(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -93,7 +88,6 @@ class Tensor:
         other = self._lift(other)
         if other.data.ndim == 2:
             return self._matmul_folded(other)
-        out = Tensor(np.matmul(self.data, other.data), parents=(self, other))
 
         def backward(g):
             da = db = None
@@ -104,17 +98,13 @@ class Tensor:
                 db = _unbroadcast(
                     np.matmul(np.swapaxes(self.data, -1, -2), g), other.shape)
             return da, db
-        out._backward = backward
-        return out
+        return _op(np.matmul(self.data, other.data), (self, other), backward)
 
     def _matmul_folded(self, other):
         """A stack of matrices times one matrix, (..., k) @ (k, n), as one
         GEMM over the stack's folded rows; the weight gradient is one
         K = rows product, not a per-matrix product summed over the stack."""
         x = self.data.reshape(-1, self.shape[-1])
-        out = Tensor((x @ other.data).reshape(*self.shape[:-1],
-                                              other.shape[-1]),
-                     parents=(self, other))
 
         def backward(g):
             g = g.reshape(-1, other.shape[-1])
@@ -122,37 +112,28 @@ class Tensor:
                 if self.requires_grad else None
             dw = x.T @ g if other.requires_grad else None
             return dx, dw
-        out._backward = backward
-        return out
+        return _op((x @ other.data).reshape(*self.shape[:-1], other.shape[-1]),
+                   (self, other), backward)
 
     def pow(self, p: float):
-        out = Tensor(np.power(self.data, p), parents=(self,))
-        out._backward = lambda g: (g * p * np.power(self.data, p - 1),)
-        return out
+        return _op(np.power(self.data, p), (self,),
+                   lambda g: (g * p * np.power(self.data, p - 1),))
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), parents=(self,))
-        out._backward = lambda g: (g.reshape(self.shape),)
-        return out
+        return _op(self.data.reshape(*shape), (self,),
+                   lambda g: (g.reshape(self.shape),))
 
     def transpose(self, axes):
-        inverse = np.argsort(axes)
-        out = Tensor(self.data.transpose(axes), parents=(self,))
-        out._backward = lambda g: (g.transpose(inverse),)
-        return out
+        return _op(self.data.transpose(axes), (self,),
+                   lambda g: (g.transpose(np.argsort(axes)),))
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                     parents=(self,))
-
         def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g, self.shape).copy(),)
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, self.shape).copy(),)
-        out._backward = backward
-        return out
+        return _op(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                   backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -163,39 +144,30 @@ class Tensor:
 
     def relu(self):
         mask = self.data > 0
-        out = Tensor(np.where(mask, self.data, 0.0), parents=(self,))
-        out._backward = lambda g: (g * mask,)
-        return out
+        return _op(np.where(mask, self.data, 0.0), (self,),
+                   lambda g: (g * mask,))
 
     def log(self):
-        out = Tensor(np.log(self.data), parents=(self,))
-        out._backward = lambda g: (g / self.data,)
-        return out
+        return _op(np.log(self.data), (self,), lambda g: (g / self.data,))
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(y, parents=(self,))
-        out._backward = lambda g: (g * y * (1.0 - y),)
-        return out
+        return _op(y, (self,), lambda g: (g * y * (1.0 - y),))
 
     def clip(self, lo: float, hi: float):
-        mask = (self.data > lo) & (self.data < hi)
-        out = Tensor(np.clip(self.data, lo, hi), parents=(self,))
-        out._backward = lambda g: (g * mask,)
-        return out
+        return _op(np.clip(self.data, lo, hi), (self,), lambda g: (
+            g * ((self.data > lo) & (self.data < hi)),))
 
     def softmax(self):
         """Softmax over the last axis."""
         shifted = self.data - self.data.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         y = e / e.sum(axis=-1, keepdims=True)
-        out = Tensor(y, parents=(self,))
 
         def backward(g):
             dot = (g * y).sum(axis=-1, keepdims=True)
             return (y * (g - dot),)
-        out._backward = backward
-        return out
+        return _op(y, (self,), backward)
 
     # -- backprop ------------------------------------------------------
 
@@ -231,18 +203,24 @@ class Tensor:
                     parent.grad = parent.grad + pgrad
 
 
+def _op(data, parents: tuple, backward) -> Tensor:
+    """An op's output.  It keeps its parents and `backward` only when one
+    of them needs a gradient, so a forward with none builds no graph and
+    frees each intermediate once the next op has read it."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, parents=parents, backward_fn=backward)
+    return Tensor(data)
+
+
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward(g):
         return tuple(
             np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
             for i in range(len(tensors)))
-    out._backward = backward
-    return out
+    return _op(np.concatenate([t.data for t in tensors], axis=axis),
+               tuple(tensors), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,

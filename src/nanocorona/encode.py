@@ -24,7 +24,7 @@ from .model import (
     forward,
 )
 from .prompts import PromptCodes
-from .providers import EmbeddingProvider, embed_protein, embed_text
+from .providers import BATCH, EmbeddingProvider, embed_protein, embed_text
 from .schema import FeatureSchema, ProteinCatalog, SampleRecord
 
 
@@ -53,11 +53,16 @@ class ProviderBundle:
 
 def _unique_rows(inputs: list[str], index, embed,
                  provider: EmbeddingProvider) -> UniqueRows:
-    """The rows embed(inputs[index[i]], provider); every input is embedded
-    in one call."""
-    unique = np.asarray(embed(inputs, provider), dtype=np.float32)
-    return UniqueRows(unique.reshape(len(inputs), provider.dim),
-                      np.asarray(index, dtype=np.intp))
+    """The rows embed(inputs[index[i]], provider), filled into one float32
+    matrix BATCH inputs per call, so no second copy of every vector is
+    held."""
+    unique = np.empty((len(inputs), provider.dim), dtype=np.float32)
+    for start in range(0, len(inputs), BATCH):
+        chunk = inputs[start:start + BATCH]
+        # reshaped, not broadcast: a wrong count of vectors raises
+        unique[start:start + len(chunk)] = np.reshape(
+            embed(chunk, provider), (len(chunk), provider.dim))
+    return UniqueRows(unique, np.asarray(index, dtype=np.intp))
 
 
 def protein_sequence(catalog: ProteinCatalog, accession: str) -> str:

@@ -228,6 +228,11 @@ def _route(rows: int, width: int) -> int:
     return 0 if rows == 1 else 1 if rows * width <= SMALL_GEMM else 2
 
 
+def _least_rows(route: int, width: int) -> int:
+    """The fewest rows of an x that `_route` sends the given way."""
+    return (1, 2, max(2, SMALL_GEMM // width + 1))[route]
+
+
 def _split_heads(x: Tensor, config: ModelConfig) -> Tensor:
     b, t, _ = x.shape
     h, hd = config.heads, config.head_dim
@@ -279,23 +284,29 @@ def _as_tensors(params: ModelParams, trainable: bool) -> dict:
 def _tokens(embedding: np.ndarray | UniqueRows | None, blocks: dict,
             modality: str, config: ModelConfig) -> Tensor:
     """One modality's embeddings, checked and projected into tokens.  A
-    UniqueRows whose projection needs no gradient, and whose distinct rows
-    take the BLAS route its dense rows take, is checked and projected on
-    its distinct rows, then gathered: bit-identical to the dense path."""
+    UniqueRows whose projection needs no gradient is checked and projected
+    on its distinct rows, then gathered: bit-identical to the dense path,
+    as the distinct rows take the BLAS route its dense rows take.  Too few
+    of them for that route are padded with zero rows up to its least row
+    count; only too many (as after a `take`) project the dense rows."""
     if embedding is None:
         raise DimensionError(f"{modality} embeddings required")
     weight, bias = blocks[f"proj_{modality}.W"], blocks[f"proj_{modality}.b"]
     if isinstance(embedding, UniqueRows):
-        width = embedding.unique.shape[1] * weight.shape[1]
-        if weight.requires_grad or (_route(len(embedding.unique), width)
-                                    != _route(len(embedding), width)):
+        unique = embedding.unique
+        width = unique.shape[1] * weight.shape[1]
+        route = _route(len(embedding), width)
+        if weight.requires_grad or _route(len(unique), width) > route:
             embedding = embedding[:]
+        elif _route(len(unique), width) < route:
+            unique = np.concatenate([unique, np.zeros(
+                (_least_rows(route, width) - len(unique), unique.shape[1]),
+                unique.dtype)])
     if not isinstance(embedding, UniqueRows):
         _check_finite(embedding, f"{modality} embeddings")
         return project(embedding, weight, bias, config)
-    _check_finite(embedding.unique, f"{modality} embeddings")
-    return Tensor(project(embedding.unique, weight, bias, config)
-                  .data[embedding.index])
+    _check_finite(unique, f"{modality} embeddings")
+    return Tensor(project(unique, weight, bias, config).data[embedding.index])
 
 
 def _fuse(params: ModelParams, protein: np.ndarray | UniqueRows | None,

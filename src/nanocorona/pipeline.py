@@ -9,6 +9,7 @@ import functools
 import hashlib
 import json
 import os
+import resource
 import time
 from collections.abc import Callable
 from dataclasses import asdict, fields, replace
@@ -167,7 +168,8 @@ def digest_file(path) -> str:
 
 
 class RunManifest:
-    """Per-run record: config digest, inputs, stage timings, output digests."""
+    """Per-run record: config digest, inputs, stage timings, the peak RSS
+    after each stage, output digests."""
 
     def __init__(self, config: dict, out_dir: str):
         self.config_digest = digest_bytes(
@@ -195,6 +197,9 @@ class RunManifest:
                        if os.path.exists(p)},
             "outputs": {p: self._digest(p) for p in outputs},
             "elapsed_seconds": elapsed,
+            # the process's peak resident set so far (Linux counts KiB)
+            "peak_rss_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024,
         })
         write_json_atomic(self.path, {"run_id": self.run_id,
                                       "config_digest": self.config_digest,
@@ -372,16 +377,19 @@ def _scorable(view) -> bool:
 def stage_embed(config: dict, text: EmbeddingProvider | None) -> list[str]:
     """Pre-encode every unique sequence and prompt into the cache, BATCH
     inputs per call; the vectors returned are dropped, so memory does not
-    grow with the number of inputs."""
+    grow with the number of inputs.  The protein provider, and with it its
+    encoder's direction table, is dropped before the text pass draws: later
+    stages find every sequence in the store."""
     schema, catalog, providers = load_encoding(config, text)
     records = parse_sample_table(_out(config, "curated.tsv"), schema)
     sequences = sorted({protein_sequence(catalog, r.protein_accession)
                         for r in records})
     prompts = sorted(providers.prompt_codes(schema).prompts(records)[0])
-    for provider, inputs in ((providers.protein, sequences),
-                             (providers.text, prompts)):
-        for start in range(0, len(inputs), BATCH):
-            provider.embed(inputs[start:start + BATCH])
+    for start in range(0, len(sequences), BATCH):
+        providers.protein.embed(sequences[start:start + BATCH])
+    providers.protein = None
+    for start in range(0, len(prompts), BATCH):
+        providers.text.embed(prompts[start:start + BATCH])
     stats_path = _out(config, "embed_stats.json")
     write_json_atomic(stats_path, {"unique_sequences": len(sequences),
                                    "unique_prompts": len(prompts)}, indent=1)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shutil
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -19,7 +20,10 @@ from nanocorona import curation, model, pipeline, schema as schema_module
 from nanocorona import splits
 from nanocorona.cli import main
 from nanocorona.errors import EmptyInputError, StageError
-from nanocorona.providers import SyntheticTextProvider
+from nanocorona.providers import (
+    SyntheticProteinProvider,
+    SyntheticTextProvider,
+)
 from nanocorona.schema import (
     UNKNOWN,
     numeric,
@@ -175,6 +179,40 @@ class TestEndToEnd:
             open(os.path.join(out, "run_manifest.json")).read())
         assert [s["stage"] for s in manifest["stages"]] == \
             list(pipeline.RUN_ALL_ORDER)
+
+    def test_manifest_records_each_stages_peak_rss(self, tmp_path, schema):
+        _, config = make_workspace(tmp_path, schema)
+        pipeline.run_end_to_end(config)
+        saved = json.loads((tmp_path / "out" / "run_manifest.json")
+                           .read_text())
+        peaks = [s["peak_rss_mb"] for s in saved["stages"]]
+        assert len(peaks) == len(pipeline.RUN_ALL_ORDER)
+        assert peaks[0] > 0 and peaks == sorted(peaks)
+
+    def test_embed_frees_the_protein_table_before_the_text_pass(
+            self, tmp_path, schema, monkeypatch):
+        _, config = make_workspace(tmp_path, schema)
+        manifest = pipeline.RunManifest(config, config["paths"]["out_dir"])
+        for name in ("curate", "split"):
+            pipeline.run_stage(name, config, manifest)
+        blocks, alive = [], []
+        protein_embed = SyntheticProteinProvider.embed
+        text_embed = SyntheticTextProvider.embed
+
+        def protein(self, texts):
+            vectors = protein_embed(self, texts)
+            blocks[:] = [weakref.ref(block) for block in self._blocks]
+            return vectors
+
+        def text(self, texts):
+            if not alive:
+                alive.append(sum(ref() is not None for ref in blocks))
+            return text_embed(self, texts)
+
+        monkeypatch.setattr(SyntheticProteinProvider, "embed", protein)
+        monkeypatch.setattr(SyntheticTextProvider, "embed", text)
+        pipeline.run_stage("embed", config, manifest)
+        assert blocks and alive == [0]
 
     def test_run_all_parses_each_sample_table_once(self, tmp_path, schema,
                                                    monkeypatch):

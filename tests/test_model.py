@@ -8,6 +8,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -263,6 +264,88 @@ class TestUniqueRowsForward:
         with pytest.raises(DimensionError) as info:
             forward(params, wide, text)
         assert info.value.code == "E_DIM"
+
+
+    # at 64 wide both oracle shapes have too few distinct rows for blocked
+    # gemm in each modality; at 1024 wide one prompt is one gemv row
+    @pytest.mark.parametrize("shape, d_shared", [((91, 5, 1), 64),
+                                                 ((91, 3, 2), 64),
+                                                 ((5, 5, 1), 1024)],
+                             ids=["91x5x1-64", "91x3x2-64", "5x5x1-1024"])
+    def test_few_distinct_rows_never_project_the_dense_rows(
+            self, monkeypatch, shape, d_shared):
+        # they are padded with zero rows up to the dense rows' BLAS route
+        cfg = ModelConfig(protein_dim=2560, text_dim=4096, d_shared=d_shared,
+                          tokens=8, heads=8, mlp_hidden=(6, 4))
+        params = init_params(cfg)
+        protein, text = _unique_view(cfg, np.random.default_rng(4), *shape)
+        want = forward(params, protein[:], text[:])
+        dense, getitem = [], UniqueRows.__getitem__
+
+        def spy(self, rows):
+            dense.append(rows == slice(None))
+            return getitem(self, rows)
+
+        monkeypatch.setattr(UniqueRows, "__getitem__", spy)
+        got = forward(params, protein, text)
+        assert got.tobytes() == want.tobytes()
+        assert not any(dense)
+
+
+class TestNoGradForward:
+    """A forward whose inputs need no gradient records no graph, so each
+    intermediate is freed once the next op has read it."""
+
+    def test_intermediates_are_dead_before_the_output_op(self, monkeypatch):
+        products, alive = [], []
+        matmul, sigmoid = Tensor.__matmul__, Tensor.sigmoid
+
+        def recording(self, other):
+            out = matmul(self, other)
+            products.append(weakref.ref(out.data))
+            return out
+
+        def checking(self):
+            alive.append(sum(ref() is not None for ref in products))
+            return sigmoid(self)
+
+        monkeypatch.setattr(Tensor, "__matmul__", recording)
+        monkeypatch.setattr(Tensor, "sigmoid", checking)
+        cfg = tiny_config()
+        params = init_params(cfg)
+        forward(params, *_draw(cfg, np.random.default_rng(5), 30))
+        # projections, attention and the head: every product has been read
+        # by the time the output op runs
+        assert len(products) > 10 and alive == [0]
+
+    def test_peak_memory_does_not_hold_the_graph(self):
+        cfg = ModelConfig(protein_dim=32, text_dim=32, d_shared=64,
+                          tokens=8, heads=8, mlp_hidden=(32, 16))
+        params = init_params(cfg)
+        rows = 3000
+        protein, text = _unique_view(cfg, np.random.default_rng(6), rows,
+                                     rows, rows)
+        tracemalloc.start()
+        try:
+            forward(params, protein, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a softmax over the (rows, heads, T, T) attention scores needs a
+        # few arrays of that size at once; a kept graph holds about ten
+        scores = rows * cfg.heads * cfg.tokens ** 2 * 4
+        assert peak < 6 * scores
+
+    def test_a_gradient_forward_still_keeps_its_graph(self):
+        cfg = tiny_config()
+        params = init_params(cfg)
+        protein, text = _draw(cfg, np.random.default_rng(7), 4)
+        out = forward_graph(params, protein, text,
+                            _as_tensors(params, trainable=True))
+        frozen = forward_graph(params, protein, text,
+                               _as_tensors(params, trainable=False))
+        assert len(_graph_nodes(out)) > 50
+        assert _graph_nodes(frozen) == [frozen]
 
 
 class TestAttentionWeights:

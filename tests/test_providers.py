@@ -377,6 +377,44 @@ def test_protein_matrix_embeds_each_distinct_accession_once(corpus, how,
     assert len(provider.calls) == 3
 
 
+class BatchSizes(CountingProvider):
+    """Delegates to `inner` and records the size of each call."""
+
+    def embed(self, texts):
+        self.calls[len(texts)] += 1
+        return self.inner.embed(texts)
+
+
+@pytest.mark.parametrize("how", ["bare", "cached"])
+def test_matrices_embed_at_most_batch_inputs_per_call(schema, how, tmp_path):
+    n = 2 * BATCH + 5
+    rng = np.random.default_rng(11)
+    catalog = make_catalog(n, seed=4)
+    records = [SampleRecord(sample_id=f"s{i}", study_id="st", group_id="g",
+                            origin_id=f"o{i}",
+                            features=base_features(schema, rng),
+                            protein_accession=f"P{i % n:05d}")
+               for i in range(n + 9)]
+    for name, cls, build in (
+            ("protein", SyntheticProteinProvider,
+             lambda p: protein_matrix(records, catalog, p)),
+            ("text", SyntheticTextProvider,
+             lambda p: text_matrix(records, PromptCodes(schema), p))):
+        inner = cls(0)
+        if how == "cached":
+            inner = CachedProvider(inner, EmbeddingStore(tmp_path / name))
+        provider = BatchSizes(inner)
+        matrix = build(provider)
+        assert len(matrix.unique) > BATCH
+        assert max(provider.calls) <= BATCH
+        assert sum(k * v for k, v in provider.calls.items()) == \
+            len(matrix.unique)
+        inputs = [catalog.lookup(f"P{i:05d}").sequence for i in range(n)] \
+            if name == "protein" else \
+            PromptCodes(schema).prompts(records)[0]
+        assert_bits_equal(matrix.unique, np.stack(cls(0).embed(inputs)))
+
+
 def test_empty_record_list_gives_empty_matrices(schema):
     protein, text = SyntheticProteinProvider(0), SyntheticTextProvider(0)
     for matrix, provider in (
