@@ -296,9 +296,10 @@ def _tokens(embedding: np.ndarray | UniqueRows | None, blocks: dict,
         unique = embedding.unique
         width = unique.shape[1] * weight.shape[1]
         route = _route(len(embedding), width)
-        if weight.requires_grad or _route(len(unique), width) > route:
+        have = _route(len(unique), width)
+        if weight.requires_grad or have > route:
             embedding = embedding[:]
-        elif _route(len(unique), width) < route:
+        elif have < route:
             unique = np.concatenate([unique, np.zeros(
                 (_least_rows(route, width) - len(unique), unique.shape[1]),
                 unique.dtype)])

@@ -265,7 +265,6 @@ class TestUniqueRowsForward:
             forward(params, wide, text)
         assert info.value.code == "E_DIM"
 
-
     # at 64 wide both oracle shapes have too few distinct rows for blocked
     # gemm in each modality; at 1024 wide one prompt is one gemv row
     @pytest.mark.parametrize("shape, d_shared", [((91, 5, 1), 64),
