@@ -212,25 +212,8 @@ class UniqueRows:
         return self.unique[self.index[rows]]
 
     def take(self, rows) -> "UniqueRows":
+        """These rows; a forward on them still projects every distinct row."""
         return UniqueRows(self.unique, self.index[rows])
-
-
-# OpenBLAS computes a row of x @ w one of three ways: by gemv for a one-row
-# x, by small-matrix kernels while rows * K * N <= SMALL_GEMM, and by
-# blocked gemm above that; rows computed one way are bit-identical, whatever
-# the other rows are.
-SMALL_GEMM = 10 ** 6
-
-
-def _route(rows: int, width: int) -> int:
-    """The way (0 gemv, 1 small kernels, 2 blocked gemm) that computes x @ w
-    for an x of `rows` rows and a w of K * N = `width` entries."""
-    return 0 if rows == 1 else 1 if rows * width <= SMALL_GEMM else 2
-
-
-def _least_rows(route: int, width: int) -> int:
-    """The fewest rows of an x that `_route` sends the given way."""
-    return (1, 2, max(2, SMALL_GEMM // width + 1))[route]
 
 
 def _split_heads(x: Tensor, config: ModelConfig) -> Tensor:
@@ -284,30 +267,20 @@ def _as_tensors(params: ModelParams, trainable: bool) -> dict:
 def _tokens(embedding: np.ndarray | UniqueRows | None, blocks: dict,
             modality: str, config: ModelConfig) -> Tensor:
     """One modality's embeddings, checked and projected into tokens.  A
-    UniqueRows whose projection needs no gradient is checked and projected
-    on its distinct rows, then gathered: bit-identical to the dense path,
-    as the distinct rows take the BLAS route its dense rows take.  Too few
-    of them for that route are padded with zero rows up to its least row
-    count; only too many (as after a `take`) project the dense rows."""
+    UniqueRows is checked and projected on its distinct rows, then gathered
+    by its index; it is densified only where it meets a trainable weight,
+    whose gradient must sum over the dense rows."""
     if embedding is None:
         raise DimensionError(f"{modality} embeddings required")
     weight, bias = blocks[f"proj_{modality}.W"], blocks[f"proj_{modality}.b"]
-    if isinstance(embedding, UniqueRows):
-        unique = embedding.unique
-        width = unique.shape[1] * weight.shape[1]
-        route = _route(len(embedding), width)
-        have = _route(len(unique), width)
-        if weight.requires_grad or have > route:
-            embedding = embedding[:]
-        elif have < route:
-            unique = np.concatenate([unique, np.zeros(
-                (_least_rows(route, width) - len(unique), unique.shape[1]),
-                unique.dtype)])
+    if isinstance(embedding, UniqueRows) and weight.requires_grad:
+        embedding = embedding[:]
     if not isinstance(embedding, UniqueRows):
         _check_finite(embedding, f"{modality} embeddings")
         return project(embedding, weight, bias, config)
-    _check_finite(unique, f"{modality} embeddings")
-    return Tensor(project(unique, weight, bias, config).data[embedding.index])
+    _check_finite(embedding.unique, f"{modality} embeddings")
+    return Tensor(project(embedding.unique, weight, bias, config)
+                  .data[embedding.index])
 
 
 def _fuse(params: ModelParams, protein: np.ndarray | UniqueRows | None,
@@ -347,7 +320,7 @@ def forward_graph(params: ModelParams,
 def forward(params: ModelParams, protein: np.ndarray | UniqueRows | None,
             text: np.ndarray | UniqueRows | None) -> np.ndarray:
     """Evaluate the model; classification yields probabilities in (0, 1).
-    A UniqueRows input is projected once per distinct row."""
+    A UniqueRows input is projected on its distinct rows, then gathered."""
     blocks = _as_tensors(params, trainable=False)
     out = forward_graph(params, protein, text, blocks)
     _check_finite(out.data, "model output")

@@ -6,10 +6,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,12 +204,33 @@ def _unique_view(cfg, rng, n, distinct_protein, distinct_text):
             if cfg.modality in ("fused", "text_only") else None)
 
 
+# A GEMM's row may round differently with the number of rows that share
+# it, so two computations of one product agree only to within a bound.  Over
+# OpenBLAS's Haswell, SkylakeX, Sandybridge and Prescott kernels the worst
+# |difference| between distinct-row and dense forwards is 2.1e-6 in float32
+# and 7.2e-15 in float64, and a folded stack product strays from np.matmul
+# by 5.3e-7 of its largest entry
+ROUNDING = {"float32": 1e-5, "float64": 1e-12}
+
+
+def _dense_reads(monkeypatch) -> list:
+    """The rows of every UniqueRows.__getitem__ call made from now on."""
+    reads, getitem = [], UniqueRows.__getitem__
+
+    def spy(self, rows):
+        reads.append(rows)
+        return getitem(self, rows)
+
+    monkeypatch.setattr(UniqueRows, "__getitem__", spy)
+    return reads
+
+
 class TestUniqueRowsForward:
-    """forward on distinct rows plus an index equals forward on the dense
-    matrix bit for bit, at the tiny test widths and at the benchmark's
-    64-wide and the paper's 1024-wide model over provider widths, where the
-    BLAS computes one row, a few rows and many rows in three different
-    ways."""
+    """forward on distinct rows plus an index projects the distinct rows and
+    gathers them: it equals forward on the dense matrix to within ROUNDING,
+    at the tiny test widths and at the benchmark's 64-wide and the paper's
+    1024-wide model over provider widths, reads no dense row, and gives the
+    same bytes on every rerun."""
 
     # (rows, distinct proteins, distinct prompts): a one-row view, views
     # where every row shares one prompt, and repeated indices throughout
@@ -231,20 +256,36 @@ class TestUniqueRowsForward:
             want = forward(params, *(None if x is None else x[:]
                                      for x in (protein, text)))
             assert got.dtype == want.dtype == cfg.np_dtype
-            assert got.tobytes() == want.tobytes(), shape
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=ROUNDING[dtype], err_msg=shape)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_two_forwards_of_one_view_are_bit_identical(self, dtype):
+        # 64 wide, the views project one row, a few rows and many rows
+        cfg = ModelConfig(protein_dim=2560, text_dim=4096, d_shared=64,
+                          tokens=8, heads=8, mlp_hidden=(6, 4), dtype=dtype)
+        params = init_params(cfg)
+        rng = np.random.default_rng(5)
+        for shape in self.SHAPES:
+            view = _unique_view(cfg, rng, *shape)
+            first = forward(params, *view)
+            assert forward(params, *view).tobytes() == first.tobytes(), shape
 
     @pytest.mark.parametrize("taken", [2, 3])
-    def test_taken_rows_match_row_major_forward(self, taken):
-        # `take` keeps every distinct row: 10 of them go through blocked
-        # gemm at these widths, while 2 or 3 dense rows take small kernels
+    def test_taken_rows_match_row_major_forward(self, monkeypatch, taken):
+        # `take` keeps every distinct row, so the forward projects all 10
+        # of them where the dense forward projects 2 or 3 rows
         cfg = ModelConfig(protein_dim=2560, text_dim=4096, d_shared=64,
                           tokens=8, heads=8, mlp_hidden=(6, 4))
         params = init_params(cfg)
         view = _unique_view(cfg, np.random.default_rng(3), 10, 10, 10)
         protein, text = (m.take(np.arange(taken)) for m in view)
-        got = forward(params, protein, text)
         want = forward(params, protein[:], text[:])
-        assert got.tobytes() == want.tobytes()
+        reads = _dense_reads(monkeypatch)
+        got = forward(params, protein, text)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=ROUNDING["float32"])
+        assert reads == []
 
     def test_non_finite_distinct_row_rejected(self):
         cfg = tiny_config()
@@ -265,30 +306,24 @@ class TestUniqueRowsForward:
             forward(params, wide, text)
         assert info.value.code == "E_DIM"
 
-    # at 64 wide both oracle shapes have too few distinct rows for blocked
-    # gemm in each modality; at 1024 wide one prompt is one gemv row
+    # far fewer distinct rows than dense ones: at 1024 wide one prompt is a
+    # one-row product where the dense rows make a five-row one
     @pytest.mark.parametrize("shape, d_shared", [((91, 5, 1), 64),
                                                  ((91, 3, 2), 64),
                                                  ((5, 5, 1), 1024)],
                              ids=["91x5x1-64", "91x3x2-64", "5x5x1-1024"])
     def test_few_distinct_rows_never_project_the_dense_rows(
             self, monkeypatch, shape, d_shared):
-        # they are padded with zero rows up to the dense rows' BLAS route
         cfg = ModelConfig(protein_dim=2560, text_dim=4096, d_shared=d_shared,
                           tokens=8, heads=8, mlp_hidden=(6, 4))
         params = init_params(cfg)
         protein, text = _unique_view(cfg, np.random.default_rng(4), *shape)
         want = forward(params, protein[:], text[:])
-        dense, getitem = [], UniqueRows.__getitem__
-
-        def spy(self, rows):
-            dense.append(rows == slice(None))
-            return getitem(self, rows)
-
-        monkeypatch.setattr(UniqueRows, "__getitem__", spy)
+        reads = _dense_reads(monkeypatch)
         got = forward(params, protein, text)
-        assert got.tobytes() == want.tobytes()
-        assert not any(dense)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=ROUNDING["float32"])
+        assert reads == []
 
 
 class TestNoGradForward:
@@ -434,12 +469,18 @@ class TestStackByMatrixProduct:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("b,t,k,n", SHAPES)
     def test_forward_bit_equal_to_matmul(self, b, t, k, n, dtype):
+        # bit equal to the folded GEMM that defines it; np.matmul computes
+        # the same product another way, so it agrees within ROUNDING of the
+        # largest entry
         rng = np.random.default_rng(b * t + k)
         x = rng.standard_normal((b, t, k)).astype(dtype)
         w = rng.standard_normal((k, n)).astype(dtype)
         out = Tensor(x, requires_grad=True) @ Tensor(w, requires_grad=True)
         assert out.data.dtype == dtype
-        assert out.data.tobytes() == np.matmul(x, w).tobytes()
+        assert out.data.tobytes() == (x.reshape(-1, k) @ w).tobytes()
+        want = np.matmul(x, w)
+        bound = ROUNDING[dtype] * np.abs(want).max()
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=bound)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("b,t,k,n", SHAPES)
@@ -482,6 +523,48 @@ class TestStackByMatrixProduct:
                 numeric[j] = (hi - lo) / (2 * step)
             np.testing.assert_allclose(tensor.grad.reshape(-1), numeric,
                                        rtol=1e-6, atol=1e-8)
+
+
+# each OpenBLAS kernel an x86-64 host may pick, and the CPU flag it needs
+# (Linux lists SSE3 as "pni")
+KERNELS = {"Haswell": "avx2", "SkylakeX": "avx512f", "Sandybridge": "avx",
+           "Prescott": "pni"}
+
+
+class TestEveryOpenBLASKernel:
+    """The forward oracles above pass whichever kernel OpenBLAS picks: each
+    kernel is forced through OPENBLAS_CORETYPE in a pytest subprocess."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_forward_oracles_pass(self, kernel):
+        try:
+            config = np.show_config(mode="dicts")
+            blas = config["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):  # numpy before 1.26 has no dicts mode
+            blas = "unknown"
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+        try:
+            with open("/proc/cpuinfo", encoding="utf-8") as fh:
+                flags = set(fh.read().split())
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to read the CPU flags from")
+        if KERNELS[kernel] not in flags:
+            pytest.skip(f"the CPU lacks {KERNELS[kernel]}, which {kernel} "
+                        f"kernels need")
+        package_root = str(Path(model.__file__).parents[1])
+        # no third-party plugin: loading them would double the run time
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+               "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   [package_root, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestUniqueRowsForward",
+             f"{__file__}::TestStackByMatrixProduct"],
+            env=env, cwd=Path(__file__).parents[1], capture_output=True,
+            text=True, timeout=300)
+        assert result.returncode == 0, result.stdout[-4000:]
 
 
 def _graph_nodes(root):
